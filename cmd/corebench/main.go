@@ -447,7 +447,7 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 }
 
 // serveRPS measures end-to-end serving throughput: a catalog registry
-// (compiled keyswitch plans, pooled emulator machines) serving single
+// (compiled keyswitch plans, one executor per program) serving single
 // `square` requests back to back through the batcher → worker pipeline of
 // internal/serve. Small ring (logN=8, 4 levels) on purpose — this gate
 // watches the serving hot path's constant factors and allocation

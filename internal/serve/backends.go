@@ -138,7 +138,7 @@ func (s *backendSet) ranked() []*backend {
 	return out
 }
 
-// noteSuccess records which backend served a chunk. A switch of primary is
+// noteSuccess records which backend served a run. A switch of primary is
 // one failover event: the counter tracks every time traffic moved to a
 // different failure domain (including moving back after recovery).
 func (s *backendSet) noteSuccess(b *backend) {

@@ -7,10 +7,9 @@ import (
 )
 
 // BenchmarkCoreServeSubmit pushes single requests through the full serving
-// pipeline (batcher → worker → pooled emulator machine → pooled ring
-// buffers). allocs/op is the column of interest: machine reuse plus the
-// ring's Poly pool keep the steady-state allocation rate flat as request
-// volume grows.
+// pipeline (batcher → worker → program executor → pooled ring buffers).
+// allocs/op is the column of interest: the ring's Poly pool keeps the
+// steady-state allocation rate flat as request volume grows.
 func BenchmarkCoreServeSubmit(b *testing.B) {
 	reg := testEnv(b)
 	core := NewCore(reg, Config{
@@ -20,7 +19,7 @@ func BenchmarkCoreServeSubmit(b *testing.B) {
 	})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(b, 1)
-	// Warm the machine pool and converter caches.
+	// Warm the converter and plaintext caches.
 	if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
 		b.Fatal(err)
 	}

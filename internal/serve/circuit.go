@@ -8,17 +8,17 @@ import (
 // Circuit-breaker states, exported through /metrics and /healthz as
 // strings.
 const (
-	circuitClosed   = "closed"    // cluster trusted: all chunks try it
-	circuitOpen     = "open"      // cluster distrusted: chunks skip straight to the emulator
-	circuitHalfOpen = "half-open" // probing: one chunk at a time tests recovery
+	circuitClosed   = "closed"    // cluster trusted: all runs try it
+	circuitOpen     = "open"      // cluster distrusted: runs skip straight to the local fallback
+	circuitHalfOpen = "half-open" // probing: one run at a time tests recovery
 )
 
 // breaker is a consecutive-failure circuit breaker guarding the cluster
-// backend. A degraded cluster fails whole chunks over and over while each
+// backend. A degraded cluster fails whole runs over and over while each
 // failure costs RPC deadlines and retries; after threshold consecutive
-// failures the breaker opens and chunks go straight to the emulator
+// failures the breaker opens and runs go straight to the local
 // fallback (or, with RequireCluster, to a typed 503). After cooldown one
-// probe chunk is admitted (half-open); its success closes the circuit,
+// probe run is admitted (half-open); its success closes the circuit,
 // its failure re-opens it for another cooldown.
 type breaker struct {
 	threshold int
@@ -45,7 +45,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 
 // Allow reports whether a cluster attempt may proceed. In the open state
 // it admits exactly one probe per cooldown window; the caller MUST report
-// that probe's outcome via Success or Failure (runChunk's recover
+// that probe's outcome via Success or Failure (execute's recover
 // guarantees this even on panic).
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
@@ -60,7 +60,7 @@ func (b *breaker) Allow() bool {
 	return true
 }
 
-// Success records a cluster chunk that completed: closes the circuit and
+// Success records a cluster run that completed: closes the circuit and
 // resets the failure streak.
 func (b *breaker) Success() {
 	b.mu.Lock()
@@ -70,7 +70,7 @@ func (b *breaker) Success() {
 	b.probing = false
 }
 
-// Failure records a cluster chunk that failed; threshold consecutive
+// Failure records a cluster run that failed; threshold consecutive
 // failures (or one failed half-open probe) open the circuit.
 func (b *breaker) Failure() {
 	b.mu.Lock()

@@ -34,13 +34,15 @@ type Metrics struct {
 
 	QueueDepth atomic.Int64 // requests currently queued in batchers
 
-	Batches         atomic.Int64 // machine runs
+	Batches         atomic.Int64 // worker batch pickups
 	BatchedRequests atomic.Int64 // requests across those runs
 
 	Latency Histogram
 
-	// EmulatorFallbacks counts cluster-mode chunks that were re-executed on
-	// the local emulator path because the cluster was degraded or errored.
+	// EmulatorFallbacks counts cluster-mode requests replayed on the
+	// coordinator's local executor because no backend completed them. The
+	// name predates the single executor; scripts, the chaos soak report and
+	// the benchmark read it as emulator_fallbacks.
 	EmulatorFallbacks atomic.Int64
 
 	// Panics counts recovered execution panics (each fails its requests
@@ -62,7 +64,7 @@ type Metrics struct {
 	SessionSteps    atomic.Int64
 
 	// Failure-domain counters: Failovers counts primary-backend switches
-	// (a chunk completing on a different failure domain than the last),
+	// (a run completing on a different failure domain than the last),
 	// SessionRestores sessions replayed from the checkpoint log at boot,
 	// SessionLogErrors failed checkpoint appends (the step still succeeds;
 	// durability of that step is lost until the next one).

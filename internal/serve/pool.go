@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
-	"cinnamon/internal/emulator"
 	"cinnamon/internal/parallel"
 	"cinnamon/internal/sched"
 )
@@ -34,16 +34,12 @@ var (
 	ErrInternal = errors.New("serve: internal error")
 )
 
-// errClientGone marks a chunk failure caused by the failing request's own
-// context (client deadline or disconnect), not by the backend: it must
-// feed neither the circuit breaker nor the failover loop, or a burst of
-// client-side expiries could open a healthy backend's circuit.
-var errClientGone = errors.New("serve: request context expired mid-run")
-
 // Config tunes the serving core.
 type Config struct {
-	// MaxBatch caps how many requests one machine run serves. Default:
-	// the registry's largest compiled variant.
+	// MaxBatch caps how many queued requests of one (program, tenant) a
+	// worker takes per pickup; the worker then runs them one after another
+	// on the program's executor. Default and upper bound: the registry's
+	// MaxBatch.
 	MaxBatch int
 	// BatchWait is how long a non-full batch waits for company before
 	// flushing. Default 2ms.
@@ -51,7 +47,7 @@ type Config struct {
 	// Workers is the executor pool size. Default GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
-	// ring/keyswitch arithmetic inside every emulator run (see
+	// ring/keyswitch arithmetic inside every executor run (see
 	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
 	// setting it to 1 trades per-request latency for batch throughput when
 	// Workers already saturates the cores.
@@ -72,18 +68,18 @@ type Config struct {
 	// unbounded goroutine pileup behind the batchers. Default 1024.
 	AdmissionLimit int
 
-	// Cluster, when set, executes requests over the scale-out worker
-	// cluster (limb-partitioned keyswitching across worker processes)
-	// instead of the local emulator. The emulator stays as the fallback
-	// path: chunks run locally — counted in Metrics.EmulatorFallbacks —
-	// whenever the cluster is degraded or a distributed run errors.
+	// Cluster, when set, delegates every request's keyswitches to the
+	// scale-out worker cluster (limb-partitioned across worker processes).
+	// A request replays locally on the coordinator's executor — counted in
+	// Metrics.EmulatorFallbacks — whenever the cluster is degraded or a
+	// distributed run errors.
 	// Cluster is single-backend sugar: it joins Backends as the first
 	// entry ("c0").
 	Cluster *cluster.Engine
 
 	// Backends executes requests over a set of independently-dialed
 	// cluster engines — separate failure domains. Each backend gets its
-	// own circuit breaker (CircuitThreshold/CircuitCooldown); chunks try
+	// own circuit breaker (CircuitThreshold/CircuitCooldown); requests try
 	// backends in health-ranked order and fail over on error, ErrDegraded
 	// or an open circuit, counted in Metrics.Failovers. A background
 	// recovery loop re-runs worker handshakes and re-pushes every
@@ -100,19 +96,19 @@ type Config struct {
 	// bit-exactly. Use NewDurableCore to surface open/replay errors.
 	SessionLog string
 
-	// RequireCluster turns off the emulator fallback at the serving layer:
+	// RequireCluster turns off the local fallback at the serving layer:
 	// when the cluster is degraded (or its circuit is open) requests fail
 	// typed with cluster.ErrDegraded (503) instead of silently costing
-	// emulator CPU. Useful when the emulator cannot keep up with the
+	// coordinator CPU. Useful when the coordinator cannot keep up with the
 	// cluster's capacity and fallback would just be a slower outage.
 	RequireCluster bool
 
-	// CircuitThreshold is how many consecutive cluster-chunk failures open
+	// CircuitThreshold is how many consecutive cluster-run failures open
 	// the circuit breaker (half-open probes after CircuitCooldown).
 	// Default 5.
 	CircuitThreshold int
 	// CircuitCooldown is how long an open circuit waits before admitting a
-	// probe chunk. Default 5s.
+	// probe run. Default 5s.
 	CircuitCooldown time.Duration
 
 	// BootstrapBatch caps how many refresh-pending ciphertexts one
@@ -137,25 +133,14 @@ type Config struct {
 	// testPreRun, when non-nil, runs at the top of every batch execution —
 	// the panic-injection point for recovery tests.
 	testPreRun func(*batch)
-	// testBatchDelay stretches every chunk execution — a deterministic
+	// testBatchDelay stretches every batch execution — a deterministic
 	// "slow backend" lever for overload tests.
 	testBatchDelay time.Duration
 }
 
 func (c Config) withDefaults(reg *Registry) Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = math.MaxInt
-	}
-	largest := 0
-	for _, name := range reg.order {
-		if vs := reg.programs[name].variants; len(vs) > 0 && vs[0].Batch > largest {
-			largest = vs[0].Batch
-		}
-	}
-	if largest > 0 && c.MaxBatch > largest {
-		c.MaxBatch = largest
-	} else if largest == 0 && c.MaxBatch == math.MaxInt {
-		c.MaxBatch = 1
+	if c.MaxBatch <= 0 || c.MaxBatch > reg.maxBatch {
+		c.MaxBatch = reg.maxBatch
 	}
 	if c.BatchWait <= 0 {
 		c.BatchWait = 2 * time.Millisecond
@@ -229,7 +214,7 @@ type Core struct {
 	met *Metrics
 
 	// backends is the failure-domain layer over the configured cluster
-	// engines (nil in emulator-only mode): per-backend circuit breakers,
+	// engines (nil in local-only mode): per-backend circuit breakers,
 	// health-ranked failover, background recovery. admission bounds the
 	// requests concurrently inside the core (see Config.AdmissionLimit).
 	backends  *backendSet
@@ -250,13 +235,19 @@ type Core struct {
 	batchersWG sync.WaitGroup
 	workersWG  sync.WaitGroup
 
-	machMu   sync.Mutex // guards machines
-	machines map[*Variant][]*emulator.Machine
+	// evictHook is this core's registry eviction hook (nil without
+	// backends). Close detaches it, then waits on evictWG for the
+	// worker-key evictions it started; evictMu orders those starts
+	// against the detach so none begins after the wait.
+	evictHook   *func(map[string]*ckks.EvalKey)
+	evictMu     sync.Mutex
+	evictClosed bool
+	evictWG     sync.WaitGroup
 
 	// boot is the cross-tenant bootstrap batcher (nil unless the registry
-	// has a bootstrap Precomp); deepWG tracks in-flight scheduler-path
-	// executions (deep one-shots and session steps) so Close can drain
-	// them before stopping the batcher they depend on.
+	// has a bootstrap Precomp); deepWG tracks in-flight executions on
+	// callers' goroutines (deep one-shots and session steps) so Close can
+	// drain them before stopping the batcher they depend on.
 	boot     *sched.Batcher
 	deepWG   sync.WaitGroup
 	sessions *sessionStore
@@ -288,7 +279,6 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		batchers:  map[string]*batcher{},
 		dispatch:  make(chan *batch, cfg.DispatchDepth),
 		quit:      make(chan struct{}),
-		machines:  map[*Variant][]*emulator.Machine{},
 	}
 	specs := append([]BackendSpec(nil), cfg.Backends...)
 	if cfg.Cluster != nil {
@@ -302,22 +292,9 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 			return p.brk.State(), p.brk.Opens()
 		}
 		c.met.backendsSource = c.backends.snapshots
-		// A coordinator-side eviction invalidates worker residency on every
-		// backend (best-effort, off the serving path): workers then drop
-		// the key and the next keyswitch lazily re-pushes it.
-		reg.evictHook = func(keys map[string]*ckks.EvalKey) {
-			evs := make([]*ckks.EvalKey, 0, len(keys))
-			for _, k := range keys {
-				if k != nil {
-					evs = append(evs, k)
-				}
-			}
-			go func() {
-				for _, b := range c.backends.all {
-					b.eng.EvictKeys(evs...)
-				}
-			}()
-		}
+		hook := c.evictWorkerKeys
+		c.evictHook = &hook
+		reg.evictHook.Store(c.evictHook)
 	}
 	c.met.keyCacheSource = reg.KeyCacheStats
 	if reg.Pre != nil {
@@ -471,9 +448,9 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		defer cancel()
 	}
 	if prog.Bootstrapped {
-		// Deeper-than-the-chain programs run on the scheduler path, one
-		// request per call (the caller's goroutine is the executor; the
-		// admission bound already caps concurrency). deepWG.Add happens
+		// Deeper-than-the-chain programs skip the batcher and run one
+		// request per call on the caller's goroutine (the admission bound
+		// already caps concurrency). deepWG.Add happens
 		// under stateMu so Close's drain cannot miss an in-flight run.
 		c.stateMu.RLock()
 		if c.draining {
@@ -490,7 +467,7 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 		}
-		return c.runDeep(ctx, prog, tenant, keys, ct)
+		return c.run(ctx, prog, tenant, keys, ct, time.Now())
 	}
 	r := &request{ctx: ctx, ct: ct, resp: make(chan result, 1), enq: time.Now()}
 
@@ -550,14 +527,20 @@ func (c *Core) Close(ctx context.Context) error {
 		c.batchersWG.Wait()
 		close(c.dispatch)
 		c.workersWG.Wait()
-		// Scheduler-path executions (deep one-shots, session steps) drain
-		// before the bootstrap batcher they refresh through goes away.
+		// Caller-goroutine executions (deep one-shots, session steps)
+		// drain before the bootstrap batcher they refresh through goes
+		// away.
 		c.deepWG.Wait()
 		if c.boot != nil {
 			c.boot.Close()
 		}
 		c.sessions.close()
 		if c.backends != nil {
+			c.reg.evictHook.CompareAndSwap(c.evictHook, nil)
+			c.evictMu.Lock()
+			c.evictClosed = true
+			c.evictMu.Unlock()
+			c.evictWG.Wait()
 			c.backends.close()
 		}
 		close(done)
@@ -580,11 +563,36 @@ func (c *Core) worker() {
 	}
 }
 
-// runBatch executes a dispatched batch, chunking it over the largest
-// compiled variants that fit (e.g. 7 requests → 4 + 2 + 1). A panic
-// anywhere in execution is recovered per batch: the unanswered requests
-// fail typed with ErrInternal and the worker survives to take the next
-// batch — one poisoned request can never wedge the pool.
+// evictWorkerKeys is the registry eviction hook: a coordinator-side
+// eviction invalidates worker residency on every backend (best-effort, off
+// the serving path), so workers drop the keys and the next keyswitch
+// lazily re-pushes them. After Close it does nothing.
+func (c *Core) evictWorkerKeys(keys map[string]*ckks.EvalKey) {
+	evs := make([]*ckks.EvalKey, 0, len(keys))
+	for _, k := range keys {
+		if k != nil {
+			evs = append(evs, k)
+		}
+	}
+	c.evictMu.Lock()
+	defer c.evictMu.Unlock()
+	if c.evictClosed {
+		return
+	}
+	c.evictWG.Add(1)
+	go func() {
+		defer c.evictWG.Done()
+		for _, b := range c.backends.all {
+			b.eng.EvictKeys(evs...)
+		}
+	}()
+}
+
+// runBatch executes a dispatched batch, one live request after another on
+// the program's executor. A panic outside execute's own recovery is
+// recovered per batch: the unanswered requests fail typed with
+// ErrInternal and the worker survives to take the next batch — one
+// poisoned request can never wedge the pool.
 func (c *Core) runBatch(bt *batch) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -601,6 +609,9 @@ func (c *Core) runBatch(bt *batch) {
 	if c.cfg.testPreRun != nil {
 		c.cfg.testPreRun(bt)
 	}
+	if c.cfg.testBatchDelay > 0 {
+		time.Sleep(c.cfg.testBatchDelay)
+	}
 	// Drop requests whose callers have already given up.
 	live := bt.reqs[:0]
 	for _, r := range bt.reqs {
@@ -610,6 +621,9 @@ func (c *Core) runBatch(bt *batch) {
 		}
 		live = append(live, r)
 	}
+	if len(live) == 0 {
+		return
+	}
 	keys, ok := c.reg.TenantKeys(bt.tenant)
 	if !ok {
 		for _, r := range live {
@@ -617,91 +631,19 @@ func (c *Core) runBatch(bt *batch) {
 		}
 		return
 	}
-	for len(live) > 0 {
-		v := bt.prog.VariantFor(len(live))
-		chunk := live[:v.Batch]
-		live = live[v.Batch:]
-		c.runChunk(bt.prog, bt.pm, v, keys, chunk)
-	}
-}
-
-func (c *Core) runChunk(prog *Program, pm *ProgramMetrics, v *Variant, keys map[string]*ckks.EvalKey, reqs []*request) {
-	if c.cfg.testBatchDelay > 0 {
-		time.Sleep(c.cfg.testBatchDelay)
-	}
-	if c.backends != nil {
-		outs, err := c.runChunkBackends(prog, keys, reqs)
-		if err == nil {
-			c.met.Batches.Add(1)
-			c.met.BatchedRequests.Add(int64(len(reqs)))
-			for i, r := range reqs {
-				lat := time.Since(r.enq)
-				c.met.Completed.Add(1)
-				c.met.Latency.Observe(lat)
-				pm.Completed.Add(1)
-				pm.Latency.Observe(lat)
-				r.deliver(result{ct: outs[i]})
-			}
-			return
-		}
-		if c.cfg.RequireCluster {
-			// Fallback disabled at the serving layer: fail the chunk typed
-			// (503 + Retry-After at the HTTP layer) instead of burning
-			// emulator CPU on every request of an outage.
-			err := fmt.Errorf("serve: no cluster backend available (primary circuit %s): %w",
-				c.backends.primaryBackend().brk.State(), cluster.ErrDegraded)
-			for _, r := range reqs {
-				if r.deliver(result{err: err}) {
-					c.met.Errors.Add(1)
-					pm.Errors.Add(1)
-				}
-			}
-			return
-		}
-		// Every backend degraded or erroring: re-execute the whole chunk on
-		// the local emulator path below. Results stay bit-identical (the
-		// emulator runs the same compiled program), only locality changes.
-		c.met.EmulatorFallbacks.Add(1)
-	}
-	prov := emulator.NewCKKSProvider(c.reg.Params)
-	prov.Plaintexts = prog.Plaintexts
-	prov.Keys = keys
-	for i, r := range reqs {
-		prov.Inputs[fmt.Sprintf("x%d", i)] = r.ct
-	}
-	m := c.getMachine(v, prov)
-	err := m.Run()
-	c.putMachine(v, m)
 	c.met.Batches.Add(1)
-	c.met.BatchedRequests.Add(int64(len(reqs)))
-	for i, r := range reqs {
-		res := result{err: err}
-		if err == nil {
-			res.ct, res.err = prov.Output(fmt.Sprintf("y%d", i), prog.OutLevel, prog.OutScale)
-		}
-		if res.err != nil {
-			c.met.Errors.Add(1)
-			pm.Errors.Add(1)
-			res.err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, res.err)
-		} else {
-			lat := time.Since(r.enq)
-			c.met.Completed.Add(1)
-			c.met.Latency.Observe(lat)
-			pm.Completed.Add(1)
-			pm.Latency.Observe(lat)
-		}
-		r.deliver(res)
+	c.met.BatchedRequests.Add(int64(len(live)))
+	for _, r := range live {
+		out, err := c.run(r.ctx, bt.prog, bt.tenant, keys, r.ct, r.enq)
+		r.deliver(result{ct: out, err: err})
 	}
 }
 
-// runDeep executes one request of a Bootstrapped program on the scheduler
-// path: op-by-op replay over a real evaluator, with every level-exhausted
-// multiplication argument refreshed through the shared bootstrap batcher
-// (so concurrent deep runs and session steps amortize one BSGS pass).
-func (c *Core) runDeep(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+// run executes one request on the program's executor and records its
+// outcome; latency is measured from start.
+func (c *Core) run(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext, start time.Time) (*ckks.Ciphertext, error) {
 	pm := c.met.programs[prog.Spec.Name]
-	start := time.Now()
-	out, err := c.execScheduled(ctx, prog, tenant, keys, ct)
+	out, err := c.execute(ctx, prog, tenant, keys, ct)
 	if err != nil {
 		c.met.Errors.Add(1)
 		pm.Errors.Add(1)
@@ -715,27 +657,47 @@ func (c *Core) runDeep(ctx context.Context, prog *Program, tenant string, keys m
 	return out, nil
 }
 
-// execScheduled replays prog's graph on ct with the tenant's keys. In
-// cluster mode keyswitches ride the distributed engine while it is
-// healthy; bootstraps always run coordinator-local (the batcher and the
-// bootstrap key material live here). A distributed failure falls back to
-// a fully local run — counted in EmulatorFallbacks — unless
+// execute replays prog's graph on ct with the tenant's keys; every request
+// (batched one-shot, deep one-shot or session step) runs here. With
+// cluster backends, keyswitches ride the first eligible backend in
+// health-ranked order; a failed run feeds that backend's breaker and moves
+// on to the next. Bootstraps always run coordinator-local (the batcher and
+// the bootstrap key material live here). When no backend succeeds the
+// request replays locally from its original input — counted in
+// EmulatorFallbacks, bit-identical since the kernels are the same — unless
 // RequireCluster turns fallback off.
-func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
+func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
+	// attempt is the backend whose breaker awaits this run's outcome; a
+	// panic mid-run still reports it, so a half-open probe never dangles.
+	var attempt *backend
 	defer func() {
 		if p := recover(); p != nil {
+			if attempt != nil {
+				attempt.brk.Failure()
+			}
 			c.met.Panics.Add(1)
-			out, err = nil, fmt.Errorf("%w: recovered panic in scheduled run of %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
+			out, err = nil, fmt.Errorf("%w: recovered panic in run of %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
 		}
 	}()
-	var refresh sched.RefreshFunc
+	var opts sched.RunOpts
+	// refreshErr marks a failed coordinator-local refresh: like the
+	// request's own deadline, it is no evidence against a backend.
+	var refreshErr error
 	if c.reg.Pre != nil {
-		bs, berr := c.reg.BootstrapperFor(tenant)
-		if berr != nil {
-			return nil, berr
-		}
-		refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-			return c.boot.Refresh(ctx, bs, in)
+		// The tenant's bootstrapper is resolved on the first refresh, so a
+		// program that never exhausts its levels needs no bootstrap keys.
+		var bs *bootstrap.Bootstrapper
+		opts.Refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+			if bs == nil {
+				if bs, refreshErr = c.reg.BootstrapperFor(tenant); refreshErr != nil {
+					return nil, refreshErr
+				}
+			}
+			out, err := c.boot.Refresh(ctx, bs, in)
+			if err != nil {
+				refreshErr = err
+			}
+			return out, err
 		}
 	}
 	ev, err := tenantEvaluator(c.reg.Params, keys)
@@ -752,17 +714,22 @@ func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, 
 			if !b.eng.Healthy() || !b.brk.Allow() {
 				continue
 			}
+			attempt = b
+			// Binding the request's context clamps every per-worker RPC
+			// deadline and cancels retries, all the way down the stack.
 			ev.SetKeySwitcher(b.eng.Bound(ctx))
-			out, err = prog.exec.Run(ctx, ev, ct, sched.RunOpts{Refresh: refresh})
+			out, err = prog.exec.Run(ctx, ev, ct, opts)
+			attempt = nil
 			if err == nil {
 				c.backends.noteSuccess(b)
 				return out, nil
 			}
-			if ctx.Err() != nil {
-				// The request's own deadline expired mid-run: that is client
-				// evidence, not backend evidence — feeding it to the breaker
-				// would let a burst of impatient clients open a healthy
-				// backend's circuit. No point trying another backend either.
+			if ctx.Err() != nil || refreshErr != nil {
+				// The request's own deadline expired, or its refresh failed,
+				// mid-run: neither is backend evidence — feeding it to the
+				// breaker would let a burst of impatient clients open a
+				// healthy backend's circuit. No point trying another
+				// backend either.
 				return nil, err
 			}
 			b.brk.Failure()
@@ -776,12 +743,9 @@ func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, 
 			return nil, fmt.Errorf("serve: no cluster backend available (primary circuit %s): %w",
 				c.backends.primaryBackend().brk.State(), cluster.ErrDegraded)
 		}
-		// Every backend degraded or erroring: replay locally from the
-		// original input (results are bit-identical — same kernels, only
-		// locality changes).
 		c.met.EmulatorFallbacks.Add(1)
 	}
-	return prog.exec.Run(ctx, ev, ct, sched.RunOpts{Refresh: refresh})
+	return prog.exec.Run(ctx, ev, ct, opts)
 }
 
 // tenantEvaluator builds an evaluator over a tenant's registered key set,
@@ -801,105 +765,4 @@ func tenantEvaluator(params *ckks.Parameters, keys map[string]*ckks.EvalKey) (*c
 		}
 	}
 	return ckks.NewEvaluator(params, keys["rlk"], rtks), nil
-}
-
-// runChunkBackends tries the chunk on each eligible backend in
-// health-ranked order; the first success wins and becomes the primary.
-// Failed attempts feed the backend's own breaker — this loop IS the
-// failover: a chunk that errors on the primary completes on the next
-// failure domain within the same request. An exhausted ranking (no
-// eligible backend, or all attempts failed) reports the last error.
-func (c *Core) runChunkBackends(prog *Program, keys map[string]*ckks.EvalKey, reqs []*request) ([]*ckks.Ciphertext, error) {
-	var lastErr error
-	for _, b := range c.backends.ranked() {
-		if !b.eng.Healthy() || !b.brk.Allow() {
-			continue
-		}
-		outs, err := c.runChunkCluster(b.eng, prog, keys, reqs)
-		if err != nil {
-			if errors.Is(err, errClientGone) {
-				// The failing request's own context expired: client
-				// evidence, not backend evidence. Don't feed the breaker,
-				// don't fail the whole chunk over to the next domain.
-				return nil, err
-			}
-			b.brk.Failure()
-			lastErr = err
-			continue
-		}
-		c.backends.noteSuccess(b)
-		return outs, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("serve: no eligible cluster backend")
-	}
-	return nil, lastErr
-}
-
-// runChunkCluster executes every request in the chunk through the
-// program's reference closure with keyswitching delegated to one cluster
-// engine: each relinearization/rotation runs the paper's distributed
-// collectives (input broadcast / aggregate-and-scatter) across that
-// backend's worker processes. The per-chip kernels are the same ones the
-// local engine runs, so outputs are bit-identical to the emulator path.
-func (c *Core) runChunkCluster(eng *cluster.Engine, prog *Program, keys map[string]*ckks.EvalKey, reqs []*request) (outs []*ckks.Ciphertext, err error) {
-	// A panic inside the distributed path must resolve as a chunk failure
-	// (so a half-open breaker probe is never left dangling), not escape to
-	// runBatch's recovery.
-	defer func() {
-		if p := recover(); p != nil {
-			c.met.Panics.Add(1)
-			outs, err = nil, fmt.Errorf("%w: recovered panic in cluster run of %q: %v", ErrInternal, prog.Spec.Name, p)
-		}
-	}()
-	ev, err := tenantEvaluator(c.reg.Params, keys)
-	if err != nil {
-		return nil, err
-	}
-	enc := ckks.NewEncoder(c.reg.Params)
-	outs = make([]*ckks.Ciphertext, len(reqs))
-	for i, r := range reqs {
-		// Bind each request's context to its collectives: the HTTP
-		// deadline clamps every per-worker RPC deadline and cancels
-		// retries, all the way down the stack.
-		ev.SetKeySwitcher(eng.Bound(r.ctx))
-		y, err := prog.Spec.Reference(ev, enc, r.ct)
-		if err != nil {
-			if r.ctx.Err() != nil {
-				return nil, fmt.Errorf("%w: cluster run of %q: %v", errClientGone, prog.Spec.Name, err)
-			}
-			return nil, fmt.Errorf("serve: cluster run of %q: %w", prog.Spec.Name, err)
-		}
-		outs[i] = y
-	}
-	return outs, nil
-}
-
-// getMachine reuses a pooled emulator machine for the variant (resetting
-// its register state and swapping in this chunk's provider) or builds a
-// fresh one.
-func (c *Core) getMachine(v *Variant, prov emulator.Provider) *emulator.Machine {
-	c.machMu.Lock()
-	free := c.machines[v]
-	var m *emulator.Machine
-	if n := len(free); n > 0 {
-		m = free[n-1]
-		c.machines[v] = free[:n-1]
-	}
-	c.machMu.Unlock()
-	if m == nil {
-		return emulator.New(c.reg.Params.Ring, v.Module, prov)
-	}
-	m.Reset(prov)
-	return m
-}
-
-func (c *Core) putMachine(v *Variant, m *emulator.Machine) {
-	m.Reset(nil)
-	m.Prov = nil // drop references to request data promptly
-	c.machMu.Lock()
-	if len(c.machines[v]) < c.cfg.Workers {
-		c.machines[v] = append(c.machines[v], m)
-	}
-	c.machMu.Unlock()
 }

@@ -2,17 +2,24 @@
 // compiled Cinnamon programs into a multi-tenant online service. The
 // pipeline is registry → batcher → worker pool → metrics:
 //
-//   - the Registry compiles every catalog workload once at startup (one
-//     variant per batch size, each batch slot an independent DSL stream on
-//     its own virtual chip) and holds per-tenant evaluation keys;
+//   - the Registry compiles every catalog workload once at startup into a
+//     batch-1 IR graph, its level/scale plan and a sched.Executor with the
+//     model's plaintext operands encoded once, and holds per-tenant
+//     evaluation keys;
 //   - a dynamic batcher per (program, tenant) coalesces queued ciphertext
-//     requests up to a max batch size or max wait deadline — the CKKS slot
-//     dimension makes adding a stream to a batch nearly free;
-//   - a worker pool of reusable emulator.Machine instances executes
-//     batches concurrently with bounded queues, per-request timeouts and
-//     load shedding under backpressure;
+//     requests up to a max batch size or max wait deadline, so one
+//     worker pickup serves several requests of the same program and keys;
+//   - a worker pool runs every request of a batch on that executor, with
+//     keyswitches delegated to the health-ranked cluster backends when
+//     configured, bounded queues, per-request timeouts and load shedding
+//     under backpressure. Deep programs and session steps run on the same
+//     executor from the caller's goroutine;
 //   - a metrics core tracks counters, queue depth, batch occupancy and
 //     streaming latency quantiles, exposed as JSON.
+//
+// The CPU emulator over lowered ISA modules is not a serving path: it
+// stays the paper's artifact and the tests' differential oracle, reached
+// through Program.VariantFor.
 //
 // The package is stdlib-only; cmd/cinnamon-serve wraps it in net/http and
 // cmd/cinnamon-loadgen drives it open-loop.
@@ -20,9 +27,11 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
@@ -42,11 +51,12 @@ type RegistryConfig struct {
 	// Programs is the workload catalog to compile. Empty means the full
 	// workloads.ServeWorkloads() catalog.
 	Programs []workloads.ServeWorkload
-	// MaxBatch is the largest batch variant to compile (rounded down to a
-	// power of two, minimum 1). Default 4.
+	// MaxBatch is the default cap on serving batch size and the largest
+	// emulator variant VariantFor lowers (rounded down to a power of two,
+	// minimum 1). Default 4.
 	MaxBatch int
-	// Registers sizes the per-chip register file for allocation.
-	// Default 96.
+	// Registers sizes the per-chip register file when VariantFor allocates
+	// an emulator variant. Default 96.
 	Registers int
 	// Bootstrap, when set, enables the bootstrapping service: the registry
 	// precomputes the (key-independent) bootstrap circuit once, catalog
@@ -69,8 +79,9 @@ type RegistryConfig struct {
 	KeySpillDir string
 }
 
-// Variant is one compiled batch size of a program: Batch independent
-// streams, each placed on its own virtual chip.
+// Variant is one emulator ISA lowering of a program: Batch independent
+// streams, each placed on its own virtual chip. Serving never runs it; it
+// is the oracle the executor is checked against.
 type Variant struct {
 	Batch  int
 	Module *limbir.Module
@@ -96,41 +107,38 @@ type Program struct {
 	// encoded once at startup and shared read-only across workers.
 	Plaintexts map[string]*ckks.Plaintext
 	// Bootstrapped marks a program whose depth exceeds the modulus chain:
-	// it executes on the scheduler's replay path with BootstrapsRequired
-	// mid-program refreshes (per request arriving at InLevel) instead of
-	// the compiled emulator variants.
+	// its plan inserts BootstrapsRequired mid-program refreshes per
+	// request arriving at InLevel, and it runs one request per call on the
+	// caller's goroutine instead of through the batcher.
 	Bootstrapped       bool
 	BootstrapsRequired int
 	// plan is the level/scale schedule; exec replays the batch-1 graph on
-	// a real evaluator (deep one-shots and all session steps run here).
+	// a real evaluator. Every request of this program runs on exec.
 	plan *sched.Plan
 	exec *sched.Executor
-	// variants are sorted by descending batch size; the last is batch 1.
-	// Bootstrapped programs have none.
-	variants []*Variant
+	// variants lowers the emulator variants, sorted by descending batch
+	// size, on the first VariantFor call.
+	variants func() ([]*Variant, error)
 }
 
-// VariantFor returns the largest compiled variant with Batch ≤ n.
+// VariantFor returns the largest emulator variant with Batch ≤ n (batch 1
+// when n < 1), lowering every power-of-two variant up to the registry's
+// MaxBatch on the first call. It is nil for Bootstrapped programs, which
+// the emulator cannot host, and panics if lowering fails.
 func (p *Program) VariantFor(n int) *Variant {
-	for _, v := range p.variants {
+	if p.Bootstrapped {
+		return nil
+	}
+	vs, err := p.variants()
+	if err != nil {
+		panic(fmt.Sprintf("serve: lowering %q: %v", p.Spec.Name, err))
+	}
+	for _, v := range vs {
 		if v.Batch <= n {
 			return v
 		}
 	}
-	return p.variants[len(p.variants)-1]
-}
-
-// BatchSizes lists the compiled variant sizes, descending. Bootstrapped
-// programs execute one request at a time on the scheduler path.
-func (p *Program) BatchSizes() []int {
-	if p.Bootstrapped {
-		return []int{1}
-	}
-	out := make([]int, len(p.variants))
-	for i, v := range p.variants {
-		out[i] = v.Batch
-	}
-	return out
+	return vs[len(vs)-1]
 }
 
 // Plan exposes the level/scale schedule (tests and tooling).
@@ -146,6 +154,9 @@ type Registry struct {
 
 	programs map[string]*Program
 	order    []string
+	// maxBatch is RegistryConfig.MaxBatch rounded down to a power of two:
+	// the default Config.MaxBatch and the largest VariantFor lowering.
+	maxBatch int
 	// Skipped lists catalog programs the parameter set cannot host, with
 	// the reason. With bootstrapping enabled only MinSlots (and key/setup)
 	// reasons remain — depth alone no longer skips a program.
@@ -160,18 +171,18 @@ type Registry struct {
 	// content-addressed disk store when KeyBudgetBytes is set.
 	keys *keyCache
 
-	// evictHook, when set (NewDurableCore), is told about every decoded
-	// key map dropped by the cache so cluster backends can invalidate the
-	// corresponding worker-resident keys.
-	evictHook func(keys map[string]*ckks.EvalKey)
+	// evictHook, when set (NewDurableCore, until that core's Close), is
+	// told about every decoded key map dropped by the cache so cluster
+	// backends can invalidate the corresponding worker-resident keys.
+	evictHook atomic.Pointer[func(keys map[string]*ckks.EvalKey)]
 
 	bsMu    sync.Mutex
 	bsCache map[string]*bootstrap.Bootstrapper
 }
 
-// NewRegistry compiles the catalog: for every program, one module per
-// power-of-two batch size up to MaxBatch, plus output metadata (level and
-// scale inferred from the IR graph) and the encoded plaintext operands.
+// NewRegistry compiles the catalog: for every program, the batch-1 graph
+// and its executor, output metadata (level and scale inferred from the IR
+// graph) and the encoded plaintext operands. It lowers no ISA module.
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	params, err := ckks.NewParameters(cfg.Literal)
 	if err != nil {
@@ -181,9 +192,9 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if len(progs) == 0 {
 		progs = workloads.ServeWorkloads()
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 4
+	maxBatch := 4
+	if cfg.MaxBatch >= 1 {
+		maxBatch = 1 << (bits.Len(uint(cfg.MaxBatch)) - 1)
 	}
 	regs := cfg.Registers
 	if regs <= 0 {
@@ -193,6 +204,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		Params:   params,
 		Literal:  cfg.Literal,
 		programs: map[string]*Program{},
+		maxBatch: maxBatch,
 		bsCache:  map[string]*bootstrap.Bootstrapper{},
 	}
 	var store *keyStore
@@ -214,8 +226,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		r.bsMu.Lock()
 		delete(r.bsCache, id)
 		r.bsMu.Unlock()
-		if r.evictHook != nil {
-			r.evictHook(keys)
+		if hook := r.evictHook.Load(); hook != nil {
+			(*hook)(keys)
 		}
 	}
 	// Freeze the execution schedules alongside the catalog: keyswitch
@@ -225,14 +237,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := params.CompilePlans(); err != nil {
 		return nil, fmt.Errorf("serve: compiling keyswitch plans: %w", err)
 	}
-	exitLevel := 0
 	if cfg.Bootstrap != nil {
 		pre, err := bootstrap.NewPrecomp(params, *cfg.Bootstrap)
 		if err != nil {
 			return nil, fmt.Errorf("serve: bootstrap precomp: %w", err)
 		}
-		exitLevel = pre.ExitLevel()
-		if exitLevel < 1 {
+		if pre.ExitLevel() < 1 {
 			return nil, fmt.Errorf("serve: bootstrap circuit consumes %d levels but the chain has %d — no exit budget (need at least %d levels)", pre.Consumed(), params.MaxLevel(), pre.Consumed()+1)
 		}
 		r.Pre = pre
@@ -250,23 +260,15 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		}
 		// A program deeper than the chain is a bootstrapping customer; it
 		// only skips when the registry has no bootstrap service to offer.
-		if spec.MinLevels > params.MaxLevel() {
-			if r.Pre == nil {
-				r.Skipped = append(r.Skipped, fmt.Sprintf("%s: needs %d levels, parameters have %d (enable bootstrapping to serve it)", spec.Name, spec.MinLevels, params.MaxLevel()))
-				continue
-			}
-			p, err := compileDeepProgram(params, enc, spec, r.Pre)
-			if err != nil {
-				return nil, fmt.Errorf("serve: compiling %q: %w", spec.Name, err)
-			}
-			r.programs[spec.Name] = p
-			r.order = append(r.order, spec.Name)
+		if spec.MinLevels > params.MaxLevel() && r.Pre == nil {
+			r.Skipped = append(r.Skipped, fmt.Sprintf("%s: needs %d levels, parameters have %d (enable bootstrapping to serve it)", spec.Name, spec.MinLevels, params.MaxLevel()))
 			continue
 		}
-		p, err := compileProgram(params, enc, spec, maxBatch, regs, exitLevel)
+		p, err := compileProgram(params, enc, spec, r.Pre)
 		if err != nil {
 			return nil, fmt.Errorf("serve: compiling %q: %w", spec.Name, err)
 		}
+		p.variants = sync.OnceValues(func() ([]*Variant, error) { return lowerVariants(params, spec, maxBatch, regs) })
 		r.programs[spec.Name] = p
 		r.order = append(r.order, spec.Name)
 	}
@@ -458,8 +460,15 @@ func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads
 	return pts, ptScales, nil
 }
 
-func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, maxBatch, regs, exitLevel int) (*Program, error) {
-	p := &Program{Spec: spec, InLevel: params.MaxLevel()}
+// compileProgram builds a catalog entry: the batch-1 DSL graph, its
+// level/scale plan and the executor that serves every request. A program
+// deeper than the chain (MinLevels > MaxLevel, only compiled when pre is
+// set) is Bootstrapped: its graph is built at its own virtual depth, the
+// plan inserts refreshes, and the tenant's key set must additionally cover
+// the bootstrap circuit (conj and its rotation offsets), which
+// RequiredKeys advertises. Requests arrive at MaxLevel either way.
+func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
+	p := &Program{Spec: spec, InLevel: params.MaxLevel(), Bootstrapped: spec.MinLevels > params.MaxLevel()}
 	// Encode plaintext operands first: their (possibly non-default) scales
 	// feed the level/scale plan below.
 	var ptScales map[string]float64
@@ -467,64 +476,36 @@ func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.S
 	if p.Plaintexts, ptScales, err = encodePlaintexts(params, enc, spec); err != nil {
 		return nil, err
 	}
-	for b := 1; b <= maxBatch; b *= 2 {
-		mod, g, err := compileVariant(params, spec, b, regs)
-		if err != nil {
-			return nil, fmt.Errorf("batch %d: %w", b, err)
-		}
-		p.variants = append(p.variants, &Variant{Batch: b, Module: mod})
-		if b == 1 {
-			plan, err := sched.BuildPlan(g, params, ptScales, exitLevel)
-			if err != nil {
-				return nil, err
-			}
-			if plan.Bootstraps > 0 {
-				// The emulator cannot refresh mid-run; a program that fits
-				// MaxLevel must not need to (its MinLevels declaration lied).
-				return nil, fmt.Errorf("declares MinLevels %d but plans %d bootstraps at level %d", spec.MinLevels, plan.Bootstraps, params.MaxLevel())
-			}
-			p.plan = plan
-			p.exec = sched.NewExecutor(g, params, p.Plaintexts)
-			p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
-			p.RequiredKeys, p.Rotations = plan.Keys, plan.Rotations
-		}
+	// The DSL tracks virtual levels eagerly, so a deep graph is built at
+	// the program's own depth; physical levels are the plan's business.
+	depth := params.MaxLevel()
+	if p.Bootstrapped {
+		depth = spec.MinLevels
 	}
-	sort.Slice(p.variants, func(i, j int) bool { return p.variants[i].Batch > p.variants[j].Batch })
-	return p, nil
-}
-
-// compileDeepProgram builds a Bootstrapped catalog entry: the program is
-// too deep for the chain, so instead of lowering emulator variants (which
-// cannot host more virtual than physical levels) it keeps the batch-1 IR
-// graph and replays it on a real evaluator with scheduler-inserted
-// refreshes. Requests arrive at MaxLevel like any other program; the
-// tenant's key set must additionally cover the bootstrap circuit (conj +
-// its rotation offsets), which RequiredKeys advertises.
-func compileDeepProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
-	p := &Program{Spec: spec, InLevel: params.MaxLevel(), Bootstrapped: true}
-	var ptScales map[string]float64
-	var err error
-	if p.Plaintexts, ptScales, err = encodePlaintexts(params, enc, spec); err != nil {
-		return nil, err
-	}
-	// The DSL tracks virtual levels eagerly, so the graph is built at the
-	// program's own depth; physical levels are the plan's business.
-	prog := dsl.NewProgram(dsl.Config{MaxLevel: spec.MinLevels})
-	dsl.StreamPool(prog, 1, func(i int, s *dsl.Stream) {
-		x := s.Input(fmt.Sprintf("x%d", i), spec.MinLevels)
-		s.Output(fmt.Sprintf("y%d", i), spec.Build(s, x))
-	})
-	g, err := prog.Finish()
+	g, err := buildGraph(spec, 1, depth)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := sched.BuildPlan(g, params, ptScales, pre.ExitLevel())
+	exitLevel := 0
+	if pre != nil {
+		exitLevel = pre.ExitLevel()
+	}
+	plan, err := sched.BuildPlan(g, params, ptScales, exitLevel)
 	if err != nil {
 		return nil, err
+	}
+	if !p.Bootstrapped && plan.Bootstraps > 0 {
+		// A program that fits MaxLevel must not need a refresh: its
+		// MinLevels declaration lied.
+		return nil, fmt.Errorf("declares MinLevels %d but plans %d bootstraps at level %d", spec.MinLevels, plan.Bootstraps, params.MaxLevel())
 	}
 	p.plan = plan
 	p.exec = sched.NewExecutor(g, params, p.Plaintexts)
 	p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
+	p.RequiredKeys, p.Rotations = plan.Keys, plan.Rotations
+	if !p.Bootstrapped {
+		return p, nil
+	}
 	p.BootstrapsRequired = plan.Bootstraps
 	// The tenant must hold the program's own keys plus the bootstrap
 	// circuit's: rlk, conj, and the union of rotation offsets.
@@ -535,6 +516,7 @@ func compileDeepProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloa
 	for _, k := range pre.Rotations() {
 		rotSet[k] = true
 	}
+	p.Rotations = nil
 	for k := range rotSet {
 		p.Rotations = append(p.Rotations, k)
 	}
@@ -546,31 +528,39 @@ func compileDeepProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloa
 	return p, nil
 }
 
-// compileVariant builds the batch-B module: B identical streams, each an
-// instance of the workload on its own chip (group size 1, sequential
-// keyswitching), so one emulator run serves B requests.
-func compileVariant(params *ckks.Parameters, spec workloads.ServeWorkload, batch, regs int) (*limbir.Module, *polyir.Graph, error) {
-	prog := dsl.NewProgram(dsl.Config{MaxLevel: params.MaxLevel()})
+// buildGraph builds the workload's DSL graph with batch independent
+// streams, each an instance of the workload with its input at depth.
+func buildGraph(spec workloads.ServeWorkload, batch, depth int) (*polyir.Graph, error) {
+	prog := dsl.NewProgram(dsl.Config{MaxLevel: depth})
 	dsl.StreamPool(prog, batch, func(i int, s *dsl.Stream) {
-		x := s.Input(fmt.Sprintf("x%d", i), params.MaxLevel())
+		x := s.Input(fmt.Sprintf("x%d", i), depth)
 		s.Output(fmt.Sprintf("y%d", i), spec.Build(s, x))
 	})
-	g, err := prog.Finish()
-	if err != nil {
-		return nil, nil, err
+	return prog.Finish()
+}
+
+// lowerVariants lowers the emulator variants, descending by batch size:
+// for each power of two up to maxBatch, batch identical streams, each on
+// its own chip (group size 1, sequential keyswitching, so tenants only
+// need rlk/rot/conj keys), so one emulator run serves batch requests.
+func lowerVariants(params *ckks.Parameters, spec workloads.ServeWorkload, maxBatch, regs int) ([]*Variant, error) {
+	var out []*Variant
+	for b := maxBatch; b >= 1; b /= 2 {
+		g, err := buildGraph(spec, b, params.MaxLevel())
+		if err != nil {
+			return nil, err
+		}
+		groups := (&polyir.KeyswitchPass{NChips: 1}).Run(g)
+		mod, err := compiler.Lower(g, params, b, groups)
+		if err != nil {
+			return nil, fmt.Errorf("batch %d: %w", b, err)
+		}
+		if mod, err = compiler.Allocate(mod, regs); err != nil {
+			return nil, fmt.Errorf("batch %d: %w", b, err)
+		}
+		out = append(out, &Variant{Batch: b, Module: mod})
 	}
-	// One chip per stream: the pass marks every keyswitch sequential (no
-	// inter-chip collectives), so tenants only need rlk/rot/conj keys.
-	groups := (&polyir.KeyswitchPass{NChips: 1}).Run(g)
-	mod, err := compiler.Lower(g, params, batch, groups)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, err := compiler.Allocate(mod, regs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return alloc, g, nil
+	return out, nil
 }
 
 // Output metadata (level, scale, required keys) is inferred by

@@ -22,8 +22,12 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %q", name)
 		}
-		if got := p.BatchSizes(); !reflect.DeepEqual(got, []int{4, 2, 1}) {
-			t.Fatalf("%s: batch sizes %v, want [4 2 1]", name, got)
+		// Emulator variants lower on demand, one per power of two up to
+		// the registry's MaxBatch.
+		for n, want := range map[int]int{0: 1, 1: 1, 3: 2, 4: 4, 9: 4} {
+			if got := p.VariantFor(n).Batch; got != want {
+				t.Fatalf("%s: VariantFor(%d).Batch = %d, want %d", name, n, got, want)
+			}
 		}
 		if p.InLevel != reg.Params.MaxLevel() {
 			t.Fatalf("%s: input level %d", name, p.InLevel)

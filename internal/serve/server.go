@@ -59,12 +59,11 @@ type ProgramInfo struct {
 	RequiredKeys []string `json:"required_keys"`
 	// Rotations is the exact rotation-key set the compiled circuit
 	// consumes (from the lowered IR, not the catalog declaration).
-	Rotations  []int `json:"rotations,omitempty"`
-	BatchSizes []int `json:"batch_sizes"`
+	Rotations []int `json:"rotations,omitempty"`
 	// VerifyTolerance is the per-program decrypt-and-verify slot error
 	// bound the server suggests; 0 means the client default applies.
 	VerifyTolerance float64 `json:"verify_tolerance,omitempty"`
-	// Bootstrapped marks a program served on the scheduler path with
+	// Bootstrapped marks a program served outside the batcher with
 	// BootstrapsRequired mid-program refreshes per one-shot request.
 	Bootstrapped       bool `json:"bootstrapped,omitempty"`
 	BootstrapsRequired int  `json:"bootstraps_required,omitempty"`
@@ -155,7 +154,6 @@ func (s *server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 			OutputScale:        p.OutScale,
 			RequiredKeys:       p.RequiredKeys,
 			Rotations:          p.Rotations,
-			BatchSizes:         p.BatchSizes(),
 			VerifyTolerance:    p.Spec.VerifyTol,
 			Bootstrapped:       p.Bootstrapped,
 			BootstrapsRequired: p.BootstrapsRequired,

@@ -278,8 +278,8 @@ func newSessionID() (string, error) {
 }
 
 // CreateSession opens an encrypted session binding a tenant to a program.
-// Any compiled program works (the scheduler path replays its batch-1
-// graph); programs that exhaust levels across steps additionally need the
+// Any compiled program works (its executor replays the batch-1 graph);
+// programs that exhaust levels across steps additionally need the
 // bootstrap service enabled, which step reports when it happens.
 func (c *Core) CreateSession(tenant, program string) (SessionInfo, error) {
 	c.stateMu.RLock()
@@ -390,7 +390,7 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	}
 	pm := c.met.programs[sess.program]
 	start := time.Now()
-	out, err := c.execScheduled(ctx, prog, sess.tenant, keys, in)
+	out, err := c.execute(ctx, prog, sess.tenant, keys, in)
 	if err != nil {
 		c.met.Errors.Add(1)
 		pm.Errors.Add(1)

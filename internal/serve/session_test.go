@@ -189,6 +189,68 @@ func TestSessionConcurrentSteps(t *testing.T) {
 	}
 }
 
+// TestShallowOneShotNeedsNoBootstrapKeys: on a bootstrap-enabled registry
+// a shallow program never refreshes, so the tenant's bootstrapper — which
+// needs conj and the bootstrap rotation keys — is resolved only on a first
+// refresh. A tenant registered with rlk alone runs square correctly.
+func TestShallowOneShotNeedsNoBootstrapKeys(t *testing.T) {
+	sq, _ := workloads.ServeWorkloadByName("square")
+	cfg := bootstrap.DefaultConfig()
+	reg, err := NewRegistry(RegistryConfig{
+		Literal:   workloads.ServeBootstrapParamsLiteral(8, 16, 20260805),
+		Programs:  []workloads.ServeWorkload{sq},
+		Bootstrap: &cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := reg.Params
+	kg := ckks.NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := kg.GenPublicKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterTenant("rlk-only", map[string]*ckks.EvalKey{"rlk": rlk}); err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(reg, Config{Workers: 1, BatchWait: time.Millisecond})
+	defer core.Close(context.Background())
+
+	enc := ckks.NewEncoder(params)
+	rng := rand.New(rand.NewSource(5))
+	in := make([]complex128, params.Slots())
+	for i := range in {
+		in[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+	}
+	pt, err := enc.Encode(in, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ckks.NewEncryptor(params, pk).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.Submit(context.Background(), "square", "rlk-only", ct)
+	if err != nil {
+		t.Fatalf("square with rlk only: %v", err)
+	}
+	got := decodeTenant(t, params, ckks.NewDecryptor(params, sk), enc, out)
+	if e := maxSlotErr(got, sq.EvalPlain(in)); e > 1e-3 {
+		t.Fatalf("worst slot error %g vs the plain square", e)
+	}
+	if snap := core.Metrics().Snapshot(); snap.Bootstraps != 0 {
+		t.Fatalf("bootstraps_total = %d for a shallow one-shot", snap.Bootstraps)
+	}
+}
+
 // TestDeepBootstrapEndToEnd is the whole tentpole in one process: a
 // depth-20 program on a 16-level chain compiles as a scheduler-path entry,
 // a one-shot request bootstraps mid-program and still decrypts to the
