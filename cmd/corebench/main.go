@@ -76,7 +76,7 @@ type report struct {
 	PoolAllocs map[string]float64 `json:"poly_pool_allocs_per_op"`
 
 	// ServeRPS is end-to-end serving throughput: single `square` requests
-	// through the full batcher → worker → emulator pipeline of
+	// through the full admission → executor-slot → executor path of
 	// internal/serve, requests per second. Zero when -serve=false.
 	ServeRPS float64 `json:"serve_rps"`
 
@@ -448,13 +448,13 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 
 // serveRPS measures end-to-end serving throughput: a catalog registry
 // (compiled keyswitch plans, one executor per program) serving single
-// `square` requests back to back through the batcher → worker pipeline of
-// internal/serve. Small ring (logN=8, 4 levels) on purpose — this gate
-// watches the serving hot path's constant factors and allocation
+// `square` requests back to back through the admission → executor-slot
+// path of internal/serve. Small ring (logN=8, 4 levels) on purpose — this
+// gate watches the serving hot path's constant factors and allocation
 // discipline, not transform asymptotics, which the per-op rows cover.
 func serveRPS(reqs int) (float64, error) {
 	lit := workloads.ServeParamsLiteral(8, 4, 20260805)
-	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, MaxBatch: 4})
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit})
 	if err != nil {
 		return 0, err
 	}
@@ -498,11 +498,7 @@ func serveRPS(reqs int) (float64, error) {
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
 		return 0, err
 	}
-	core := serve.NewCore(reg, serve.Config{
-		MaxBatch:  1,
-		BatchWait: time.Microsecond,
-		Workers:   2,
-	})
+	core := serve.NewCore(reg, serve.Config{Workers: 2})
 	defer core.Close(context.Background())
 	enc := ckks.NewEncoder(params)
 	encr := ckks.NewEncryptor(params, pk)
@@ -518,7 +514,7 @@ func serveRPS(reqs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Warm the machine pool, plan caches and frame buffers.
+	// Warm the plan caches and frame buffers.
 	if _, err := core.Submit(context.Background(), "square", tenant, ct); err != nil {
 		return 0, err
 	}
@@ -593,7 +589,6 @@ func serveManyTenantRPS(reqs int) (float64, error) {
 	// Budget of 2.5 bundles: exactly 2 tenants resident, 6 spilled.
 	reg, err := serve.NewRegistry(serve.RegistryConfig{
 		Literal:        lit,
-		MaxBatch:       4,
 		KeyBudgetBytes: bundleSize*2 + bundleSize/2,
 		KeySpillDir:    spillDir,
 	})
@@ -605,13 +600,9 @@ func serveManyTenantRPS(reqs int) (float64, error) {
 			return 0, err
 		}
 	}
-	core := serve.NewCore(reg, serve.Config{
-		MaxBatch:  1,
-		BatchWait: time.Microsecond,
-		Workers:   2,
-	})
+	core := serve.NewCore(reg, serve.Config{Workers: 2})
 	defer core.Close(context.Background())
-	// Warm the machine pool and plan caches with the hottest tenant.
+	// Warm the plan caches with the hottest tenant.
 	if _, err := core.Submit(context.Background(), "square", "corebench-0", tcs[0].ct); err != nil {
 		return 0, err
 	}

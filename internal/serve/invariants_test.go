@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -155,76 +157,134 @@ func waitGoroutines(t *testing.T, base int, what string) {
 }
 
 // TestInvariantCloseLeaksNoGoroutines is the leak invariant: after
-// Core.Close — local, and over a pipe cluster whose key evictions fire the
-// registry hook — and Engine.Close, the goroutine count returns to its
+// Core.Close — a local core, a core over a pipe cluster whose key
+// evictions fire the registry hook (then Engine.Close), a bootstrap core
+// whose session step refreshed through a shared tick, and a durable core
+// checkpointing to a session log — the goroutine count returns to its
 // baseline, and a closed core's eviction hook is detached.
 func TestInvariantCloseLeaksNoGoroutines(t *testing.T) {
 	reg := testEnv(t)
 	ctx := context.Background()
 	ct, _ := encryptRandom(t, 77)
 	reference(t, "square", ct) // start any lazily created helpers first
-	base := runtime.NumGoroutine()
 
-	core := NewCore(reg, Config{Workers: 2, BatchWait: time.Millisecond})
-	if _, err := core.Submit(ctx, "square", testTenant, ct); err != nil {
-		t.Fatal(err)
-	}
-	info, err := core.CreateSession(testTenant, "square")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := core.SessionStep(ctx, info.ID, ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	waitGoroutines(t, base, "after local Core.Close")
-
-	// A budget of one and a half bundles keeps one tenant resident, so
-	// every registration or reload below evicts the other.
-	sq, _ := workloads.ServeWorkloadByName("square")
-	kA, kB := genTenantKeys(t, reg.Params), genTenantKeys(t, reg.Params)
-	size := bundleSize(t, kA)
-	breg, err := NewRegistry(RegistryConfig{
-		Literal:        env.lit,
-		Programs:       []workloads.ServeWorkload{sq},
-		KeyBudgetBytes: size + size/2,
-		KeySpillDir:    t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base = runtime.NumGoroutine()
-	dialers := []cluster.Dialer{cluster.NewPipeDialer(cluster.NewWorker(reg.Params)), cluster.NewPipeDialer(cluster.NewWorker(reg.Params))}
-	eng, err := cluster.NewEngine(reg.Params, dialers, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	core = NewCore(breg, Config{Workers: 2, BatchWait: time.Millisecond, Cluster: eng})
-	if err := breg.RegisterTenant("a", kA); err != nil {
-		t.Fatal(err)
-	}
-	if err := breg.RegisterTenant("b", kB); err != nil { // evicts a
-		t.Fatal(err)
-	}
-	for _, tenant := range []string{"a", "b"} { // each reload evicts the other
-		if _, err := core.Submit(ctx, "square", tenant, ct); err != nil {
-			t.Fatalf("tenant %s: %v", tenant, err)
+	// stepSession opens a session of program on core and runs its first step.
+	stepSession := func(t *testing.T, core *Core, tenant, program string, ct *ckks.Ciphertext) {
+		t.Helper()
+		info, err := core.CreateSession(tenant, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := core.SessionStep(ctx, info.ID, ct); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s := breg.KeyCacheStats(); s.Evictions < 3 {
-		t.Fatalf("evictions = %d, want ≥ 3", s.Evictions)
-	}
-	if err := core.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if breg.evictHook.Load() != nil {
-		t.Fatal("closed core left its eviction hook on the registry")
-	}
-	eng.Close()
-	if err := breg.RegisterTenant("a", kA); err != nil { // evicts b, hook detached
-		t.Fatal(err)
-	}
-	waitGoroutines(t, base, "after cluster Core.Close and Engine.Close")
+
+	t.Run("local", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		core := NewCore(reg, Config{Workers: 2})
+		if _, err := core.Submit(ctx, "square", testTenant, ct); err != nil {
+			t.Fatal(err)
+		}
+		stepSession(t, core, testTenant, "square", ct)
+		if err := core.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base, "after local Core.Close")
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		// A budget of one and a half bundles keeps one tenant resident, so
+		// every registration or reload below evicts the other.
+		sq, _ := workloads.ServeWorkloadByName("square")
+		kA, kB := genTenantKeys(t, reg.Params), genTenantKeys(t, reg.Params)
+		size := bundleSize(t, kA)
+		breg, err := NewRegistry(RegistryConfig{
+			Literal:        env.lit,
+			Programs:       []workloads.ServeWorkload{sq},
+			KeyBudgetBytes: size + size/2,
+			KeySpillDir:    t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		dialers := []cluster.Dialer{cluster.NewPipeDialer(cluster.NewWorker(reg.Params)), cluster.NewPipeDialer(cluster.NewWorker(reg.Params))}
+		eng, err := cluster.NewEngine(reg.Params, dialers, cluster.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := NewCore(breg, Config{Workers: 2, Cluster: eng})
+		if err := breg.RegisterTenant("a", kA); err != nil {
+			t.Fatal(err)
+		}
+		if err := breg.RegisterTenant("b", kB); err != nil { // evicts a
+			t.Fatal(err)
+		}
+		for _, tenant := range []string{"a", "b"} { // each reload evicts the other
+			if _, err := core.Submit(ctx, "square", tenant, ct); err != nil {
+				t.Fatalf("tenant %s: %v", tenant, err)
+			}
+		}
+		if s := breg.KeyCacheStats(); s.Evictions < 3 {
+			t.Fatalf("evictions = %d, want ≥ 3", s.Evictions)
+		}
+		if err := core.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if breg.evictHook.Load() != nil {
+			t.Fatal("closed core left its eviction hook on the registry")
+		}
+		eng.Close()
+		if err := breg.RegisterTenant("a", kA); err != nil { // evicts b, hook detached
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base, "after cluster Core.Close and Engine.Close")
+	})
+
+	t.Run("bootstrap", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("bootstrap ticks are expensive")
+		}
+		const tenant = "leak-deep"
+		dreg, prog, _, pk := deepRegistry(t, tenant)
+		params := dreg.Params
+		pt, err := ckks.NewEncoder(params).Encode(prog.Spec.MakeInput(rand.New(rand.NewSource(78)), params.Slots()), params.MaxLevel(), params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dct, err := ckks.NewEncryptor(params, pk).Encrypt(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		core := NewCore(dreg, Config{Workers: 1, BootstrapWait: time.Millisecond, RequestTimeout: 10 * time.Minute})
+		stepSession(t, core, tenant, prog.Spec.Name, dct)
+		if snap := core.Metrics().Snapshot(); snap.BootstrapBatches < 1 {
+			t.Fatalf("bootstrap ticks = %d, want the session step to refresh", snap.BootstrapBatches)
+		}
+		if err := core.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base, "after bootstrap Core.Close")
+	})
+
+	t.Run("durable", func(t *testing.T) {
+		logPath := filepath.Join(t.TempDir(), "sessions.log")
+		base := runtime.NumGoroutine()
+		for _, restart := range []bool{false, true} {
+			core, err := NewDurableCore(reg, Config{Workers: 2, SessionLog: logPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restart && core.Metrics().Snapshot().SessionRestores != 1 {
+				t.Fatal("reopened core restored no session from the log")
+			}
+			stepSession(t, core, testTenant, "square", ct)
+			if err := core.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base, fmt.Sprintf("after durable Core.Close (restart=%v)", restart))
+		}
+	})
 }

@@ -261,7 +261,7 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 		}
 	}
 
-	core := NewCore(reg, Config{MaxBatch: 2, BatchWait: time.Millisecond, Workers: 2})
+	core := NewCore(reg, Config{Workers: 2})
 	defer core.Close(context.Background())
 
 	const perTenant = 6

@@ -26,16 +26,14 @@ type ProgramMetrics struct {
 // Metrics is the serving-core metrics surface. All fields are updated
 // with atomics; Snapshot() is safe to call concurrently with traffic.
 type Metrics struct {
-	Received  atomic.Int64 // requests accepted into Submit
+	Received  atomic.Int64 // requests into Submit / SessionStep
 	Completed atomic.Int64 // responses delivered
-	Rejected  atomic.Int64 // load-shed (queue full / shutting down)
-	Timeouts  atomic.Int64 // request context expired before completion
-	Errors    atomic.Int64 // execution failures
+	Rejected  atomic.Int64 // load-shed (admission full / shutting down)
+	Timeouts  atomic.Int64 // requests ended by their own context
+	Errors    atomic.Int64 // execution failures (never timeouts or bad requests)
 
-	QueueDepth atomic.Int64 // requests currently queued in batchers
-
-	Batches         atomic.Int64 // worker batch pickups
-	BatchedRequests atomic.Int64 // requests across those runs
+	QueueDepth atomic.Int64 // requests currently waiting for an executor slot
+	SlotRuns   atomic.Int64 // one-shots that took an executor slot
 
 	Latency Histogram
 
@@ -45,8 +43,8 @@ type Metrics struct {
 	// the benchmark read it as emulator_fallbacks.
 	EmulatorFallbacks atomic.Int64
 
-	// Panics counts recovered execution panics (each fails its requests
-	// typed with ErrInternal; the worker pool survives).
+	// Panics counts recovered execution panics (each fails its request
+	// typed with ErrInternal; serving continues).
 	Panics atomic.Int64
 
 	// Bootstrap service counters: total ciphertexts refreshed, ticks run,
@@ -102,17 +100,19 @@ type ProgramSnapshot struct {
 
 // Snapshot is the JSON view served at GET /metrics.
 type Snapshot struct {
-	Received          int64                      `json:"received"`
-	Completed         int64                      `json:"completed"`
-	Rejected          int64                      `json:"rejected"`
-	Timeouts          int64                      `json:"timeouts"`
-	Errors            int64                      `json:"errors"`
-	QueueDepth        int64                      `json:"queue_depth"`
-	Batches           int64                      `json:"batches"`
-	BatchedRequests   int64                      `json:"batched_requests"`
-	AvgBatchOccupancy float64                    `json:"avg_batch_occupancy"`
-	Latency           LatencySummary             `json:"latency"`
-	Programs          map[string]ProgramSnapshot `json:"programs"`
+	Received   int64                      `json:"received"`
+	Completed  int64                      `json:"completed"`
+	Rejected   int64                      `json:"rejected"`
+	Timeouts   int64                      `json:"timeouts"`
+	Errors     int64                      `json:"errors"`
+	QueueDepth int64                      `json:"queue_depth"`
+	Latency    LatencySummary             `json:"latency"`
+	Programs   map[string]ProgramSnapshot `json:"programs"`
+
+	// Deprecated: reads Metrics.SlotRuns; requests are no longer batched.
+	Batches int64 `json:"batches"`
+	// Deprecated: reads Metrics.SlotRuns; requests are no longer batched.
+	BatchedRequests int64 `json:"batched_requests"`
 
 	// Cluster holds the scale-out transport counters when the core runs in
 	// cluster mode (bytes, collectives, latency quantiles, reconnects).
@@ -169,20 +169,17 @@ func (m *Metrics) ObserveBootstrapBatch(size int, d time.Duration) {
 // Snapshot captures the current metric values.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		Received:        m.Received.Load(),
-		Completed:       m.Completed.Load(),
-		Rejected:        m.Rejected.Load(),
-		Timeouts:        m.Timeouts.Load(),
-		Errors:          m.Errors.Load(),
-		QueueDepth:      m.QueueDepth.Load(),
-		Batches:         m.Batches.Load(),
-		BatchedRequests: m.BatchedRequests.Load(),
-		Latency:         m.Latency.Summary(),
-		Programs:        map[string]ProgramSnapshot{},
+		Received:   m.Received.Load(),
+		Completed:  m.Completed.Load(),
+		Rejected:   m.Rejected.Load(),
+		Timeouts:   m.Timeouts.Load(),
+		Errors:     m.Errors.Load(),
+		QueueDepth: m.QueueDepth.Load(),
+		Latency:    m.Latency.Summary(),
+		Programs:   map[string]ProgramSnapshot{},
 	}
-	if s.Batches > 0 {
-		s.AvgBatchOccupancy = float64(s.BatchedRequests) / float64(s.Batches)
-	}
+	s.Batches = m.SlotRuns.Load()
+	s.BatchedRequests = s.Batches
 	s.Panics = m.Panics.Load()
 	if m.clusterSource != nil {
 		s.Cluster = m.clusterSource()

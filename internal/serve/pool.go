@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cinnamon/internal/bootstrap"
@@ -29,43 +28,37 @@ var (
 	ErrShuttingDown   = errors.New("serve: shutting down")
 	ErrBadRequest     = errors.New("serve: bad request")
 	// ErrInternal marks a request that died to a recovered panic: the
-	// request fails typed (500) while the worker, and every other request,
-	// keeps serving.
+	// request fails typed (500) while every other request keeps serving.
 	ErrInternal = errors.New("serve: internal error")
 )
 
 // Config tunes the serving core.
 type Config struct {
-	// MaxBatch caps how many queued requests of one (program, tenant) a
-	// worker takes per pickup; the worker then runs them one after another
-	// on the program's executor. Default and upper bound: the registry's
-	// MaxBatch.
+	// Deprecated: ignored; requests are no longer batched.
 	MaxBatch int
-	// BatchWait is how long a non-full batch waits for company before
-	// flushing. Default 2ms.
+	// Deprecated: ignored; requests are no longer batched.
 	BatchWait time.Duration
-	// Workers is the executor pool size. Default GOMAXPROCS.
+	// Workers is the number of executor slots: how many one-shots of
+	// non-Bootstrapped programs execute at once, each on its caller's
+	// goroutine. Default GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
 	// ring/keyswitch arithmetic inside every executor run (see
 	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
-	// setting it to 1 trades per-request latency for batch throughput when
+	// setting it to 1 trades per-request latency for throughput when
 	// Workers already saturates the cores.
 	LimbWorkers int
-	// QueueDepth bounds each (program, tenant) request queue; a full
-	// queue sheds with ErrOverloaded. Default 64.
+	// Deprecated: ignored; AdmissionLimit bounds the requests in the core.
 	QueueDepth int
-	// DispatchDepth bounds the batch channel feeding workers.
-	// Default 2×Workers.
-	DispatchDepth int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Default 10s.
 	RequestTimeout time.Duration
 
 	// AdmissionLimit bounds how many requests may be inside the core at
-	// once (queued or executing). Beyond it Submit sheds immediately with
-	// ErrOverloaded, so overload produces fast 429s instead of an
-	// unbounded goroutine pileup behind the batchers. Default 1024.
+	// once (waiting for an executor slot or executing). Beyond it Submit
+	// and SessionStep shed immediately with ErrOverloaded, so overload
+	// produces fast 429s instead of an unbounded goroutine pileup.
+	// Default 1024.
 	AdmissionLimit int
 
 	// Cluster, when set, delegates every request's keyswitches to the
@@ -127,32 +120,15 @@ type Config struct {
 	// ErrOverloaded. Default 1024.
 	MaxSessions int
 
-	// testHoldWorkers, when non-nil, parks workers until the channel is
-	// closed — a deterministic backpressure lever for tests.
-	testHoldWorkers chan struct{}
-	// testPreRun, when non-nil, runs at the top of every batch execution —
-	// the panic-injection point for recovery tests.
-	testPreRun func(*batch)
-	// testBatchDelay stretches every batch execution — a deterministic
-	// "slow backend" lever for overload tests.
-	testBatchDelay time.Duration
+	// testPreRun, when non-nil, runs at the top of every execution inside
+	// execute's panic recovery — the lever tests use to stretch, park or
+	// panic a run.
+	testPreRun func(program string)
 }
 
-func (c Config) withDefaults(reg *Registry) Config {
-	if c.MaxBatch <= 0 || c.MaxBatch > reg.maxBatch {
-		c.MaxBatch = reg.maxBatch
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.DispatchDepth <= 0 {
-		c.DispatchDepth = 2 * c.Workers
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -175,39 +151,8 @@ func (c Config) withDefaults(reg *Registry) Config {
 	return c
 }
 
-type result struct {
-	ct  *ckks.Ciphertext
-	err error
-}
-
-type request struct {
-	ctx  context.Context
-	ct   *ckks.Ciphertext
-	resp chan result // buffered (1); exactly one send per request
-	enq  time.Time
-	done atomic.Bool // guards resp: panic recovery and the normal path may race
-}
-
-// deliver sends the request's response exactly once, whoever gets there
-// first (normal completion, context-expiry cleanup, or the panic-recovery
-// sweep). Reports whether this call won.
-func (r *request) deliver(res result) bool {
-	if !r.done.CompareAndSwap(false, true) {
-		return false
-	}
-	r.resp <- res
-	return true
-}
-
-type batch struct {
-	prog   *Program
-	pm     *ProgramMetrics
-	tenant string
-	reqs   []*request
-}
-
-// Core is the serving runtime: registry + batchers + worker pool +
-// metrics.
+// Core is the serving runtime: registry + admission + executor slots +
+// metrics. Every request runs on its caller's goroutine.
 type Core struct {
 	cfg Config
 	reg *Registry
@@ -216,24 +161,18 @@ type Core struct {
 	// backends is the failure-domain layer over the configured cluster
 	// engines (nil in local-only mode): per-backend circuit breakers,
 	// health-ranked failover, background recovery. admission bounds the
-	// requests concurrently inside the core (see Config.AdmissionLimit).
+	// requests concurrently inside the core (Config.AdmissionLimit), slots
+	// the one-shots executing at once (Config.Workers).
 	backends  *backendSet
 	admission chan struct{}
+	slots     chan struct{}
 
-	mu       sync.Mutex // guards batchers
-	batchers map[string]*batcher
-
-	dispatch chan *batch
-
-	// stateMu serializes Submit's enqueue section against Close flipping
-	// draining: once draining is set no new request can reach a batcher,
-	// so the quit-triggered drain observes a complete queue.
+	// stateMu orders admit's in-flight registration against Close flipping
+	// draining: once draining is set no request can join inflight, so
+	// Close's wait observes every admitted request.
 	stateMu  sync.RWMutex
 	draining bool
-
-	quit       chan struct{}
-	batchersWG sync.WaitGroup
-	workersWG  sync.WaitGroup
+	inflight sync.WaitGroup
 
 	// evictHook is this core's registry eviction hook (nil without
 	// backends). Close detaches it, then waits on evictWG for the
@@ -245,15 +184,12 @@ type Core struct {
 	evictWG     sync.WaitGroup
 
 	// boot is the cross-tenant bootstrap batcher (nil unless the registry
-	// has a bootstrap Precomp); deepWG tracks in-flight executions on
-	// callers' goroutines (deep one-shots and session steps) so Close can
-	// drain them before stopping the batcher they depend on.
+	// has a bootstrap Precomp).
 	boot     *sched.Batcher
-	deepWG   sync.WaitGroup
 	sessions *sessionStore
 }
 
-// NewCore starts the worker pool over an already-compiled registry. It
+// NewCore starts a serving core over an already-compiled registry. It
 // panics if Config.SessionLog is set but cannot be opened or replayed —
 // use NewDurableCore to handle that error.
 func NewCore(reg *Registry, cfg Config) *Core {
@@ -267,7 +203,7 @@ func NewCore(reg *Registry, cfg Config) *Core {
 // NewDurableCore is NewCore returning the session-log open/replay error
 // instead of panicking. With Config.SessionLog unset it never fails.
 func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
-	cfg = cfg.withDefaults(reg)
+	cfg = cfg.withDefaults()
 	if cfg.LimbWorkers > 0 {
 		parallel.SetWorkers(cfg.LimbWorkers)
 	}
@@ -276,9 +212,7 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		reg:       reg,
 		met:       newMetrics(reg.ProgramNames()),
 		admission: make(chan struct{}, cfg.AdmissionLimit),
-		batchers:  map[string]*batcher{},
-		dispatch:  make(chan *batch, cfg.DispatchDepth),
-		quit:      make(chan struct{}),
+		slots:     make(chan struct{}, cfg.Workers),
 	}
 	specs := append([]BackendSpec(nil), cfg.Backends...)
 	if cfg.Cluster != nil {
@@ -310,10 +244,6 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 			c.sessions.close()
 			return nil, fmt.Errorf("session log %s: %w", cfg.SessionLog, err)
 		}
-	}
-	c.workersWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go c.worker()
 	}
 	return c, nil
 }
@@ -405,28 +335,23 @@ func (c *Core) Health() Health {
 	return h
 }
 
-// Submit runs one encrypted request through the batching pipeline and
-// blocks until its response, its context deadline, or load shedding.
+// Submit runs one encrypted request on the program's executor, on the
+// caller's goroutine, and blocks until its response, its context
+// deadline, or load shedding.
 func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	c.met.Received.Add(1)
-	// Bounded admission: a request that can't get a slot is shed now, with
-	// a typed error the HTTP layer turns into 429 + Retry-After, instead
-	// of parking a goroutine behind an already-saturated pipeline.
-	select {
-	case c.admission <- struct{}{}:
-		defer func() { <-c.admission }()
-	default:
-		c.met.Rejected.Add(1)
-		return nil, fmt.Errorf("%w: admission queue full", ErrOverloaded)
+	ctx, cancel, err := c.admit(ctx)
+	if err != nil {
+		return nil, err
 	}
+	defer c.leave(cancel)
 	prog, ok := c.reg.Program(program)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownProgram, program)
 	}
 	// Admission validates against the tenant's always-resident key-name
 	// metadata — never the decoded keys — so a spilled tenant does not
-	// block Submit; the async prefetch below warms the decoded map so it
-	// is resident by the time the batch reaches the worker pool.
+	// block here; the async prefetch below warms the decoded map while the
+	// request waits for its executor slot.
 	names, ok := c.reg.TenantKeyNames(tenant)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
@@ -442,77 +367,52 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		return nil, fmt.Errorf("%w: ciphertext scale %g, program expects %g", ErrBadRequest, ct.Scale, def)
 	}
 	c.reg.PrefetchTenant(tenant)
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
-	if prog.Bootstrapped {
-		// Deeper-than-the-chain programs skip the batcher and run one
-		// request per call on the caller's goroutine (the admission bound
-		// already caps concurrency). deepWG.Add happens
-		// under stateMu so Close's drain cannot miss an in-flight run.
-		c.stateMu.RLock()
-		if c.draining {
-			c.stateMu.RUnlock()
-			c.met.Rejected.Add(1)
-			return nil, ErrShuttingDown
-		}
-		c.deepWG.Add(1)
-		c.stateMu.RUnlock()
-		defer c.deepWG.Done()
-		// The deep path executes on this goroutine, so a cold tenant's
-		// reload stalls only this request.
-		keys, ok := c.reg.TenantKeys(tenant)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-		}
-		return c.run(ctx, prog, tenant, keys, ct, time.Now())
-	}
-	r := &request{ctx: ctx, ct: ct, resp: make(chan result, 1), enq: time.Now()}
+	return c.run(ctx, prog, tenant, ct, !prog.Bootstrapped, nil)
+}
 
+// admit is every executing request's way into the core (Submit and
+// SessionStep). It takes an admission token, shedding with ErrOverloaded
+// beyond AdmissionLimit; refuses with ErrShuttingDown once Close has
+// begun; registers the request with the in-flight group Close drains; and
+// bounds a deadline-less ctx by RequestTimeout. A nil error must be paired
+// with a deferred leave(cancel).
+func (c *Core) admit(ctx context.Context) (context.Context, context.CancelFunc, error) {
+	c.met.Received.Add(1)
+	select {
+	case c.admission <- struct{}{}:
+	default:
+		c.met.Rejected.Add(1)
+		return nil, nil, fmt.Errorf("%w: admission queue full", ErrOverloaded)
+	}
 	c.stateMu.RLock()
 	if c.draining {
 		c.stateMu.RUnlock()
+		<-c.admission
 		c.met.Rejected.Add(1)
-		return nil, ErrShuttingDown
+		return nil, nil, ErrShuttingDown
 	}
-	b := c.batcherFor(program, tenant, prog)
-	accepted := b.tryEnqueue(r)
+	c.inflight.Add(1)
 	c.stateMu.RUnlock()
-	if !accepted {
-		c.met.Rejected.Add(1)
-		return nil, ErrOverloaded
+	var cancel context.CancelFunc
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	}
-	c.met.QueueDepth.Add(1)
-
-	select {
-	case res := <-r.resp:
-		return res.ct, res.err
-	case <-ctx.Done():
-		c.met.Timeouts.Add(1)
-		return nil, fmt.Errorf("serve: request timed out: %w", ctx.Err())
-	}
+	return ctx, cancel, nil
 }
 
-func (c *Core) batcherFor(program, tenant string, prog *Program) *batcher {
-	key := program + "\x00" + tenant
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.batchers[key]; ok {
-		return b
+// leave releases what admit took.
+func (c *Core) leave(cancel context.CancelFunc) {
+	if cancel != nil {
+		cancel()
 	}
-	b := newBatcher(c, prog, tenant)
-	c.batchers[key] = b
-	c.batchersWG.Add(1)
-	go b.run()
-	return b
+	c.inflight.Done()
+	<-c.admission
 }
 
-// Close drains the runtime: no new requests are accepted, queued requests
-// are flushed into final batches, and workers finish every in-flight
-// batch. It returns early with the context's error if draining exceeds
-// the deadline.
+// Close drains the runtime: no new requests are admitted, every admitted
+// one (waiting for a slot or executing) completes, and then the bootstrap
+// batcher, the session store and the backends stop. It returns early with
+// the context's error if draining exceeds the deadline.
 func (c *Core) Close(ctx context.Context) error {
 	c.stateMu.Lock()
 	already := c.draining
@@ -521,16 +421,11 @@ func (c *Core) Close(ctx context.Context) error {
 	if already {
 		return nil
 	}
-	close(c.quit)
 	done := make(chan struct{})
 	go func() {
-		c.batchersWG.Wait()
-		close(c.dispatch)
-		c.workersWG.Wait()
-		// Caller-goroutine executions (deep one-shots, session steps)
-		// drain before the bootstrap batcher they refresh through goes
-		// away.
-		c.deepWG.Wait()
+		// In-flight requests drain before the bootstrap batcher they
+		// refresh through goes away.
+		c.inflight.Wait()
 		if c.boot != nil {
 			c.boot.Close()
 		}
@@ -550,16 +445,6 @@ func (c *Core) Close(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain incomplete: %w", ctx.Err())
-	}
-}
-
-func (c *Core) worker() {
-	defer c.workersWG.Done()
-	for bt := range c.dispatch {
-		if c.cfg.testHoldWorkers != nil {
-			<-c.cfg.testHoldWorkers
-		}
-		c.runBatch(bt)
 	}
 }
 
@@ -588,66 +473,41 @@ func (c *Core) evictWorkerKeys(keys map[string]*ckks.EvalKey) {
 	}()
 }
 
-// runBatch executes a dispatched batch, one live request after another on
-// the program's executor. A panic outside execute's own recovery is
-// recovered per batch: the unanswered requests fail typed with
-// ErrInternal and the worker survives to take the next batch — one
-// poisoned request can never wedge the pool.
-func (c *Core) runBatch(bt *batch) {
-	defer func() {
-		if p := recover(); p != nil {
-			c.met.Panics.Add(1)
-			err := fmt.Errorf("%w: recovered panic in %q: %v\n%s", ErrInternal, bt.prog.Spec.Name, p, debug.Stack())
-			for _, r := range bt.reqs {
-				if r.deliver(result{err: err}) {
-					c.met.Errors.Add(1)
-					bt.pm.Errors.Add(1)
-				}
-			}
+// run executes one admitted request on prog's executor and counts its
+// outcome once: a request ended by its own context in Timeouts, any other
+// execution failure in Errors, a success in Completed and the latency
+// histograms. A one-shot of a non-Bootstrapped program (slot) first waits
+// for an executor slot; deep one-shots and session steps are bounded by
+// admission alone, so their refreshes keep coalescing into shared
+// bootstrap ticks. The tenant's keys resolve after the slot, so a cold
+// tenant's reload stalls only this request. commit, when non-nil, runs on
+// success before the latency is taken (a session step installs and
+// checkpoints its new state there).
+func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.Ciphertext, slot bool, commit func(*ckks.Ciphertext)) (*ckks.Ciphertext, error) {
+	start := time.Now()
+	if slot {
+		if !c.takeSlot(ctx) {
+			return nil, c.timedOut(ctx)
 		}
-	}()
-	if c.cfg.testPreRun != nil {
-		c.cfg.testPreRun(bt)
+		defer func() { <-c.slots }()
 	}
-	if c.cfg.testBatchDelay > 0 {
-		time.Sleep(c.cfg.testBatchDelay)
-	}
-	// Drop requests whose callers have already given up.
-	live := bt.reqs[:0]
-	for _, r := range bt.reqs {
-		if r.ctx.Err() != nil {
-			r.deliver(result{err: r.ctx.Err()})
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-	keys, ok := c.reg.TenantKeys(bt.tenant)
+	keys, ok := c.reg.TenantKeys(tenant)
 	if !ok {
-		for _, r := range live {
-			r.deliver(result{err: ErrUnknownTenant})
-		}
-		return
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	c.met.Batches.Add(1)
-	c.met.BatchedRequests.Add(int64(len(live)))
-	for _, r := range live {
-		out, err := c.run(r.ctx, bt.prog, bt.tenant, keys, r.ct, r.enq)
-		r.deliver(result{ct: out, err: err})
-	}
-}
-
-// run executes one request on the program's executor and records its
-// outcome; latency is measured from start.
-func (c *Core) run(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext, start time.Time) (*ckks.Ciphertext, error) {
 	pm := c.met.programs[prog.Spec.Name]
 	out, err := c.execute(ctx, prog, tenant, keys, ct)
-	if err != nil {
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		return nil, c.timedOut(ctx)
+	default:
 		c.met.Errors.Add(1)
 		pm.Errors.Add(1)
 		return nil, fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
+	}
+	if commit != nil {
+		commit(out)
 	}
 	lat := time.Since(start)
 	c.met.Completed.Add(1)
@@ -657,12 +517,32 @@ func (c *Core) run(ctx context.Context, prog *Program, tenant string, keys map[s
 	return out, nil
 }
 
+// takeSlot waits for one of the Workers executor slots, or for ctx to end
+// (false). QueueDepth counts the waiters.
+func (c *Core) takeSlot(ctx context.Context) bool {
+	c.met.QueueDepth.Add(1)
+	defer c.met.QueueDepth.Add(-1)
+	select {
+	case c.slots <- struct{}{}:
+		c.met.SlotRuns.Add(1)
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// timedOut counts a request ended by its own context.
+func (c *Core) timedOut(ctx context.Context) error {
+	c.met.Timeouts.Add(1)
+	return fmt.Errorf("serve: request timed out: %w", ctx.Err())
+}
+
 // execute replays prog's graph on ct with the tenant's keys; every request
-// (batched one-shot, deep one-shot or session step) runs here. With
+// (one-shot or session step) runs here. With
 // cluster backends, keyswitches ride the first eligible backend in
 // health-ranked order; a failed run feeds that backend's breaker and moves
-// on to the next. Bootstraps always run coordinator-local (the batcher and
-// the bootstrap key material live here). When no backend succeeds the
+// on to the next. Bootstraps always run coordinator-local (the bootstrap
+// batcher and key material live here). When no backend succeeds the
 // request replays locally from its original input — counted in
 // EmulatorFallbacks, bit-identical since the kernels are the same — unless
 // RequireCluster turns fallback off.
@@ -679,6 +559,9 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 			out, err = nil, fmt.Errorf("%w: recovered panic in run of %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
 		}
 	}()
+	if c.cfg.testPreRun != nil {
+		c.cfg.testPreRun(prog.Spec.Name)
+	}
 	var opts sched.RunOpts
 	// refreshErr marks a failed coordinator-local refresh: like the
 	// request's own deadline, it is no evidence against a backend.

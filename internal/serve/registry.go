@@ -1,21 +1,22 @@
 // Package serve is the encrypted-inference serving runtime: it turns
 // compiled Cinnamon programs into a multi-tenant online service. The
-// pipeline is registry → batcher → worker pool → metrics:
+// pipeline is registry → admission → executor slots → metrics, and every
+// request runs on its caller's goroutine:
 //
 //   - the Registry compiles every catalog workload once at startup into a
 //     batch-1 IR graph, its level/scale plan and a sched.Executor with the
 //     model's plaintext operands encoded once, and holds per-tenant
 //     evaluation keys;
-//   - a dynamic batcher per (program, tenant) coalesces queued ciphertext
-//     requests up to a max batch size or max wait deadline, so one
-//     worker pickup serves several requests of the same program and keys;
-//   - a worker pool runs every request of a batch on that executor, with
-//     keyswitches delegated to the health-ranked cluster backends when
-//     configured, bounded queues, per-request timeouts and load shedding
-//     under backpressure. Deep programs and session steps run on the same
-//     executor from the caller's goroutine;
-//   - a metrics core tracks counters, queue depth, batch occupancy and
-//     streaming latency quantiles, exposed as JSON.
+//   - admission bounds the requests inside the core (one-shots and session
+//     steps alike), sheds the excess with a typed overload error, refuses
+//     new work while draining and applies the default request timeout;
+//   - one-shots of shallow programs wait for one of Workers executor
+//     slots; deep programs and session steps are bounded by admission
+//     alone so their refreshes coalesce into shared bootstrap ticks. Every
+//     request replays on its program's executor, with keyswitches
+//     delegated to the health-ranked cluster backends when configured;
+//   - a metrics core tracks counters, slot waiters and streaming latency
+//     quantiles, exposed as JSON.
 //
 // The CPU emulator over lowered ISA modules is not a serving path: it
 // stays the paper's artifact and the tests' differential oracle, reached
@@ -108,8 +109,8 @@ type Program struct {
 	Plaintexts map[string]*ckks.Plaintext
 	// Bootstrapped marks a program whose depth exceeds the modulus chain:
 	// its plan inserts BootstrapsRequired mid-program refreshes per
-	// request arriving at InLevel, and it runs one request per call on the
-	// caller's goroutine instead of through the batcher.
+	// request arriving at InLevel, and its one-shots run without taking an
+	// executor slot.
 	Bootstrapped       bool
 	BootstrapsRequired int
 	// plan is the level/scale schedule; exec replays the batch-1 graph on
@@ -399,8 +400,8 @@ func (r *Registry) TenantKeyNames(id string) (map[string]bool, bool) {
 }
 
 // PrefetchTenant starts an async reload of an evicted tenant's keys; it is
-// fired at batch admission (Submit / session-step enqueue) so the keys are
-// warm by the time the batch reaches the worker pool.
+// fired at request admission (Submit / SessionStep) so the keys are warm
+// by the time the request reaches its executor.
 func (r *Registry) PrefetchTenant(id string) {
 	r.keys.prefetch(id)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
 )
 
@@ -25,12 +26,10 @@ func TestOverloadShedsKeepsAdmittedLatencyFlat(t *testing.T) {
 	reg := testEnv(t)
 	const exec = 50 * time.Millisecond
 	core := NewCore(reg, Config{
-		MaxBatch:       1,
-		BatchWait:      time.Millisecond,
 		Workers:        1,
 		AdmissionLimit: 1, // one request inside the core; the rest shed
 		RequestTimeout: 5 * time.Second,
-		testBatchDelay: exec, // deterministic slow backend
+		testPreRun:     func(string) { time.Sleep(exec) }, // deterministic slow backend
 	})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(t, 1)
@@ -101,18 +100,16 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// TestPanicRecoveryIsolatesRequest: a panic during batch execution fails
-// only that batch's requests — typed with ErrInternal, counted in Panics —
-// and the worker pool keeps serving.
+// TestPanicRecoveryIsolatesRequest: a panic during an execution fails only
+// that request — typed with ErrInternal, counted in Panics and Errors —
+// and the core keeps serving.
 func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 	reg := testEnv(t)
 	var bomb atomic.Bool
 	bomb.Store(true)
 	core := NewCore(reg, Config{
-		MaxBatch:  1,
-		BatchWait: time.Millisecond,
-		Workers:   1,
-		testPreRun: func(*batch) {
+		Workers: 1,
+		testPreRun: func(string) {
 			if bomb.CompareAndSwap(true, false) {
 				panic("injected execution panic")
 			}
@@ -125,10 +122,10 @@ func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("poisoned request error = %v, want ErrInternal", err)
 	}
-	if got := core.Metrics().Panics.Load(); got != 1 {
-		t.Fatalf("Panics = %d, want 1", got)
+	if snap := core.Metrics().Snapshot(); snap.Panics != 1 || snap.Errors != 1 || snap.Timeouts != 0 {
+		t.Fatalf("panics=%d errors=%d timeouts=%d, want 1/1/0", snap.Panics, snap.Errors, snap.Timeouts)
 	}
-	// The pool survived: the next request is served normally.
+	// The core survived: the next request is served normally.
 	out, err := core.Submit(context.Background(), "square", testTenant, ct)
 	if err != nil || out == nil {
 		t.Fatalf("request after recovered panic: %v", err)
@@ -136,6 +133,201 @@ func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 	want := reference(t, "square", ct)
 	if e := maxSlotErr(decryptDecode(t, out), decryptDecode(t, want)); e > 1e-3 {
 		t.Fatalf("post-panic result slot error %g", e)
+	}
+}
+
+// parker is a testPreRun hook that parks every execution, on the executor
+// slot it holds, until release.
+type parker struct {
+	entered atomic.Int64
+	hold    chan struct{}
+	once    sync.Once
+}
+
+func newParker() *parker { return &parker{hold: make(chan struct{})} }
+
+func (p *parker) park(string) {
+	p.entered.Add(1)
+	<-p.hold
+}
+
+func (p *parker) release() { p.once.Do(func() { close(p.hold) }) }
+
+// waitFor polls cond until it holds, failing after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// submitAll starts one Submit of program per ciphertext seed and returns a
+// wait function yielding every request's error.
+func submitAll(t *testing.T, core *Core, program string, seeds ...int64) func() []error {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, len(seeds))
+	for i, seed := range seeds {
+		ct, _ := encryptRandom(t, seed)
+		wg.Add(1)
+		go func(i int, ct *ckks.Ciphertext) {
+			defer wg.Done()
+			_, errs[i] = core.Submit(context.Background(), program, testTenant, ct)
+		}(i, ct)
+	}
+	return func() []error {
+		wg.Wait()
+		return errs
+	}
+}
+
+// TestShutdownDrainsInFlight: requests parked on held executor slots, and
+// requests waiting for a slot, all complete when Close drains; Close waits
+// for them and does not time out, and later submissions are refused.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	reg := testEnv(t)
+	p := newParker()
+	defer p.release()
+	core := NewCore(reg, Config{Workers: 2, RequestTimeout: time.Hour, testPreRun: p.park})
+	const n = 5
+	wait := submitAll(t, core, "rotsum", 400, 401, 402, 403, 404)
+	waitFor(t, "two parked runs and three slot waiters", func() bool {
+		return p.entered.Load() == 2 && core.Metrics().QueueDepth.Load() == n-2
+	})
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		closed <- core.Close(ctx)
+	}()
+	waitFor(t, "draining", func() bool { return core.Health().Draining })
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with requests still in flight", err)
+	default:
+	}
+	p.release()
+	if err := <-closed; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for i, err := range wait() {
+		if err != nil {
+			t.Fatalf("request %d lost in shutdown: %v", i, err)
+		}
+	}
+	if snap := core.Metrics().Snapshot(); snap.Completed != n {
+		t.Fatalf("completed %d of %d", snap.Completed, n)
+	}
+	ct, _ := encryptRandom(t, 499)
+	if _, err := core.Submit(context.Background(), "rotsum", testTenant, ct); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("post-close submit: %v", err)
+	}
+}
+
+// TestLoadShedding: with the only executor slot held and room for two
+// requests in the core, the other ten are rejected at once with
+// ErrOverloaded rather than queued, and the two admitted complete.
+func TestLoadShedding(t *testing.T) {
+	reg := testEnv(t)
+	p := newParker()
+	defer p.release()
+	core := NewCore(reg, Config{Workers: 1, AdmissionLimit: 2, RequestTimeout: time.Hour, testPreRun: p.park})
+	defer core.Close(context.Background())
+	const n = 12
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(500 + i)
+	}
+	wait := submitAll(t, core, "square", seeds...)
+	waitFor(t, "one parked run, one slot waiter and the rest shed", func() bool {
+		return p.entered.Load() == 1 && core.Metrics().QueueDepth.Load() == 1 && core.Metrics().Rejected.Load() == n-2
+	})
+	p.release()
+	var shed, completed int
+	for _, err := range wait() {
+		switch {
+		case errors.Is(err, ErrOverloaded):
+			shed++
+		case err == nil:
+			completed++
+		default:
+			t.Errorf("unexpected error: %v", err)
+		}
+	}
+	if shed != n-2 || completed != 2 {
+		t.Fatalf("shed %d, completed %d; want %d and 2", shed, completed, n-2)
+	}
+}
+
+// TestRequestTimeout: a request whose deadline passes while it waits for
+// the held executor slot returns a timeout, counted once in Timeouts.
+func TestRequestTimeout(t *testing.T) {
+	reg := testEnv(t)
+	p := newParker()
+	defer p.release()
+	core := NewCore(reg, Config{Workers: 1, RequestTimeout: time.Hour, testPreRun: p.park})
+	defer core.Close(context.Background())
+	wait := submitAll(t, core, "square", 600)
+	waitFor(t, "the parked run", func() bool { return p.entered.Load() == 1 })
+	ct, _ := encryptRandom(t, 601)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := core.Submit(ctx, "square", testTenant, ct); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want deadline exceeded, got %v", err)
+	}
+	if snap := core.Metrics().Snapshot(); snap.Timeouts != 1 || snap.Errors != 0 {
+		t.Fatalf("timeouts=%d errors=%d, want 1/0", snap.Timeouts, snap.Errors)
+	}
+	p.release()
+	if err := wait()[0]; err != nil {
+		t.Fatalf("parked request: %v", err)
+	}
+}
+
+// TestTimeoutCountedOnce: a request whose deadline passes while it
+// executes counts in Timeouts only — a one-shot and a session step alike
+// — and a session step rejected as a bad request counts in neither
+// Timeouts nor Errors.
+func TestTimeoutCountedOnce(t *testing.T) {
+	reg := testEnv(t)
+	ct, _ := encryptRandom(t, 700)
+	cases := []struct {
+		name string
+		run  func(*testing.T, *Core, context.Context) error
+	}{
+		{"Submit", func(t *testing.T, core *Core, ctx context.Context) error {
+			_, err := core.Submit(ctx, "square", testTenant, ct)
+			return err
+		}},
+		{"SessionStep", func(t *testing.T, core *Core, ctx context.Context) error {
+			info, err := core.CreateSession(testTenant, "square")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := core.SessionStep(context.Background(), info.ID, nil); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("empty first step: %v, want ErrBadRequest", err)
+			}
+			_, _, err = core.SessionStep(ctx, info.ID, ct)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			core := NewCore(reg, Config{Workers: 1, testPreRun: func(string) { time.Sleep(100 * time.Millisecond) }})
+			defer core.Close(context.Background())
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			if err := tc.run(t, core, ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("want deadline exceeded, got %v", err)
+			}
+			if snap := core.Metrics().Snapshot(); snap.Timeouts != 1 || snap.Errors != 0 {
+				t.Fatalf("timeouts=%d errors=%d, want 1/0", snap.Timeouts, snap.Errors)
+			}
+		})
 	}
 }
 

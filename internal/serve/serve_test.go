@@ -16,11 +16,11 @@ import (
 )
 
 // TestServeMatchesReference runs every catalog program through the full
-// batching pipeline and checks the decrypted response against the
+// serving core and checks the decrypted response against the
 // reference evaluator.
 func TestServeMatchesReference(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{BatchWait: time.Millisecond})
+	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	for i, name := range reg.ProgramNames() {
 		ct, _ := encryptRandom(t, int64(1000+i))
@@ -37,11 +37,11 @@ func TestServeMatchesReference(t *testing.T) {
 }
 
 // TestConcurrentClientsRace hammers one core from many goroutines across
-// all programs — the -race concurrency test of the serving pipeline —
+// all programs — the -race concurrency test of the serving core —
 // and verifies every response decrypts to the reference result.
 func TestConcurrentClientsRace(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 2 * time.Millisecond, RequestTimeout: 2 * time.Minute})
+	core := NewCore(reg, Config{RequestTimeout: 2 * time.Minute})
 	defer core.Close(context.Background())
 	names := reg.ProgramNames()
 	const clients = 8
@@ -86,7 +86,7 @@ func TestConcurrentClientsRace(t *testing.T) {
 // registration, encrypted run requests, and the metrics endpoint.
 func TestHTTPEndToEnd(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 2 * time.Millisecond})
+	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	srv := httptest.NewServer(NewHandler(core, HandlerConfig{}))
 	defer srv.Close()
@@ -183,7 +183,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	metricsBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`"completed"`, `"avg_batch_occupancy"`, `"p99_ms"`, `"square"`} {
+	for _, want := range []string{`"completed"`, `"queue_depth"`, `"p99_ms"`, `"square"`} {
 		if !bytes.Contains(metricsBody, []byte(want)) {
 			t.Fatalf("metrics JSON missing %s: %s", want, metricsBody)
 		}
@@ -209,12 +209,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPBatchOccupancy drives enough concurrent HTTP clients that the
-// dynamic batcher must coalesce (>1 average requests per machine run) —
-// the acceptance bar for slot batching.
+// TestHTTPBatchOccupancy drives 16 concurrent HTTP clients through two
+// executor slots: every request completes and the slot-run counter sees
+// each one.
 func TestHTTPBatchOccupancy(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 25 * time.Millisecond, Workers: 2})
+	core := NewCore(reg, Config{Workers: 2})
 	defer core.Close(context.Background())
 	srv := httptest.NewServer(NewHandler(core, HandlerConfig{}))
 	defer srv.Close()
@@ -254,9 +254,8 @@ func TestHTTPBatchOccupancy(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	snap := core.Metrics().Snapshot()
-	if snap.AvgBatchOccupancy <= 1 {
-		t.Fatalf("batcher never coalesced: occupancy %.2f over %d batches", snap.AvgBatchOccupancy, snap.Batches)
+	if snap := core.Metrics().Snapshot(); snap.Completed != n || core.Metrics().SlotRuns.Load() != n {
+		t.Fatalf("completed %d, slot runs %d, want %d each", snap.Completed, core.Metrics().SlotRuns.Load(), n)
 	}
 }
 
@@ -266,11 +265,11 @@ func decodeParamsJSON(b []byte) (ckks.ParametersLiteral, error) {
 	return lit, err
 }
 
-// BenchmarkServeBatchedRequests measures end-to-end serve throughput
-// (requests/sec through registry → batcher → workers) with batching on.
-func BenchmarkServeBatchedRequests(b *testing.B) {
+// BenchmarkServeParallelRequests measures end-to-end serve throughput
+// (requests/sec through admission → executor slots) from parallel callers.
+func BenchmarkServeParallelRequests(b *testing.B) {
 	reg := testEnv(b)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: time.Millisecond, RequestTimeout: time.Minute})
+	core := NewCore(reg, Config{RequestTimeout: time.Minute})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(b, 5000)
 	b.ResetTimer()
@@ -281,7 +280,4 @@ func BenchmarkServeBatchedRequests(b *testing.B) {
 			}
 		}
 	})
-	b.StopTimer()
-	snap := core.Metrics().Snapshot()
-	b.ReportMetric(snap.AvgBatchOccupancy, "reqs/batch")
 }

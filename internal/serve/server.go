@@ -63,8 +63,8 @@ type ProgramInfo struct {
 	// VerifyTolerance is the per-program decrypt-and-verify slot error
 	// bound the server suggests; 0 means the client default applies.
 	VerifyTolerance float64 `json:"verify_tolerance,omitempty"`
-	// Bootstrapped marks a program served outside the batcher with
-	// BootstrapsRequired mid-program refreshes per one-shot request.
+	// Bootstrapped marks a program whose one-shots take no executor slot,
+	// with BootstrapsRequired mid-program refreshes per request.
 	Bootstrapped       bool `json:"bootstrapped,omitempty"`
 	BootstrapsRequired int  `json:"bootstraps_required,omitempty"`
 }
@@ -209,7 +209,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		code := statusFor(err)
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			// Shed and degraded responses are retryable: tell well-behaved
-			// clients when (a shed clears as soon as the queue drains, a
+			// clients when (a shed clears as soon as admitted requests finish, a
 			// degraded cluster within a heartbeat interval).
 			w.Header().Set("Retry-After", "1")
 		}

@@ -329,38 +329,18 @@ func (c *Core) CreateSession(tenant, program string) (SessionInfo, error) {
 // remaining levels run out. The post-step state is both stored and
 // returned, so clients can decrypt-and-verify every step.
 func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) (*ckks.Ciphertext, SessionInfo, error) {
-	c.met.Received.Add(1)
+	ctx, cancel, err := c.admit(ctx)
+	if err != nil {
+		return nil, SessionInfo{}, err
+	}
+	defer c.leave(cancel)
 	sess, ok := c.sessions.get(id)
 	if !ok {
 		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	select {
-	case c.admission <- struct{}{}:
-		defer func() { <-c.admission }()
-	default:
-		c.met.Rejected.Add(1)
-		return nil, SessionInfo{}, fmt.Errorf("%w: admission queue full", ErrOverloaded)
-	}
-	// Step enqueue is a batch admission: start the key reload now so the
-	// blocking TenantKeys below finds the tenant resident.
-	c.reg.PrefetchTenant(sess.tenant)
-	c.stateMu.RLock()
-	if c.draining {
-		c.stateMu.RUnlock()
-		c.met.Rejected.Add(1)
-		return nil, SessionInfo{}, ErrShuttingDown
-	}
-	c.deepWG.Add(1)
-	c.stateMu.RUnlock()
-	defer c.deepWG.Done()
-
 	prog, ok := c.reg.Program(sess.program)
 	if !ok {
 		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownProgram, sess.program)
-	}
-	keys, ok := c.reg.TenantKeys(sess.tenant)
-	if !ok {
-		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownTenant, sess.tenant)
 	}
 	if ct != nil {
 		def := c.reg.Params.DefaultScale()
@@ -368,15 +348,12 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 			return nil, SessionInfo{}, fmt.Errorf("%w: ciphertext scale %g, sessions expect %g", ErrBadRequest, ct.Scale, def)
 		}
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
+	// Start the key reload now so the executor finds the tenant resident.
+	c.reg.PrefetchTenant(sess.tenant)
 
 	// Steps of one session are inherently sequential — each consumes the
 	// previous state — so the session mutex is held across the execution.
-	// Other sessions proceed in parallel; their refreshes share batcher
+	// Other sessions proceed in parallel; their refreshes share bootstrap
 	// ticks with this one.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -385,29 +362,20 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 		in = sess.state
 	}
 	if in == nil {
-		c.met.Errors.Add(1)
 		return nil, SessionInfo{}, fmt.Errorf("%w: first session step needs a ciphertext", ErrBadRequest)
 	}
-	pm := c.met.programs[sess.program]
-	start := time.Now()
-	out, err := c.execute(ctx, prog, sess.tenant, keys, in)
+	out, err := c.run(ctx, prog, sess.tenant, in, false, func(out *ckks.Ciphertext) {
+		sess.state = out
+		sess.steps++
+		sess.touch(time.Now())
+		cp := sess.checkpoint()
+		sess.lastCP.Store(&cp)
+		c.sessions.logAppend(func(l *sessionLog) error { return l.appendStep(cp) })
+		c.met.SessionSteps.Add(1)
+	})
 	if err != nil {
-		c.met.Errors.Add(1)
-		pm.Errors.Add(1)
 		return nil, SessionInfo{}, fmt.Errorf("serve: session %s step: %w", id, err)
 	}
-	sess.state = out
-	sess.steps++
-	sess.touch(time.Now())
-	cp := sess.checkpoint()
-	sess.lastCP.Store(&cp)
-	c.sessions.logAppend(func(l *sessionLog) error { return l.appendStep(cp) })
-	lat := time.Since(start)
-	c.met.Completed.Add(1)
-	c.met.Latency.Observe(lat)
-	c.met.SessionSteps.Add(1)
-	pm.Completed.Add(1)
-	pm.Latency.Observe(lat)
 	return out, sess.info(), nil
 }
 

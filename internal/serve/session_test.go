@@ -221,7 +221,7 @@ func TestShallowOneShotNeedsNoBootstrapKeys(t *testing.T) {
 	if err := reg.RegisterTenant("rlk-only", map[string]*ckks.EvalKey{"rlk": rlk}); err != nil {
 		t.Fatal(err)
 	}
-	core := NewCore(reg, Config{Workers: 1, BatchWait: time.Millisecond})
+	core := NewCore(reg, Config{Workers: 1})
 	defer core.Close(context.Background())
 
 	enc := ckks.NewEncoder(params)
@@ -260,63 +260,12 @@ func TestDeepBootstrapEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep bootstrap end-to-end is expensive")
 	}
-	lit := workloads.ServeBootstrapParamsLiteral(8, 16, 20260805)
-	cfg := bootstrap.DefaultConfig()
-	reg, err := NewRegistry(RegistryConfig{
-		Literal:   lit,
-		Programs:  workloads.DeepServeWorkloads(),
-		MaxBatch:  1,
-		Bootstrap: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, ok := reg.Program("logreg16-deep")
-	if !ok {
-		t.Fatalf("logreg16-deep not compiled (skipped: %v)", reg.Skipped)
-	}
+	const tenant = "deep-tenant"
+	reg, prog, sk, pk := deepRegistry(t, tenant)
 	if !prog.Bootstrapped || prog.BootstrapsRequired < 1 {
 		t.Fatalf("logreg16-deep: bootstrapped=%v required=%d", prog.Bootstrapped, prog.BootstrapsRequired)
 	}
-
 	params := reg.Params
-	kg := ckks.NewKeyGenerator(params)
-	sk, err := kg.GenSecretKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rlk, err := kg.GenRelinKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotSet := map[int]bool{}
-	for _, k := range prog.Rotations {
-		rotSet[k] = true
-	}
-	for _, k := range reg.Pre.Rotations() {
-		rotSet[k] = true
-	}
-	rots := make([]int, 0, len(rotSet))
-	for k := range rotSet {
-		rots = append(rots, k)
-	}
-	sort.Ints(rots)
-	rtks, err := kg.GenRotationKeySet(sk, rots, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := map[string]*ckks.EvalKey{"rlk": rlk, "conj": rtks.Conj}
-	for k, key := range rtks.Keys {
-		keys[fmt.Sprintf("rot:%d", k)] = key
-	}
-	const tenant = "deep-tenant"
-	if err := reg.RegisterTenant(tenant, keys); err != nil {
-		t.Fatal(err)
-	}
 
 	core := NewCore(reg, Config{Workers: 1, BootstrapWait: time.Millisecond, RequestTimeout: 10 * time.Minute})
 	defer core.Close(context.Background())
@@ -386,4 +335,63 @@ func TestDeepBootstrapEndToEnd(t *testing.T) {
 	if snap := core.Metrics().Snapshot(); snap.Bootstraps <= 1 {
 		t.Fatalf("bootstraps_total = %d after session steps, want growth", snap.Bootstraps)
 	}
+}
+
+// deepRegistry compiles the deep catalog on a 16-level bootstrap chain and
+// registers tenant with rlk, conj and every rotation logreg16-deep and the
+// bootstrap circuit use; it returns the registry, logreg16-deep and the
+// tenant's secret and public keys.
+func deepRegistry(t *testing.T, tenant string) (*Registry, *Program, *ckks.SecretKey, *ckks.PublicKey) {
+	t.Helper()
+	cfg := bootstrap.DefaultConfig()
+	reg, err := NewRegistry(RegistryConfig{
+		Literal:   workloads.ServeBootstrapParamsLiteral(8, 16, 20260805),
+		Programs:  workloads.DeepServeWorkloads(),
+		MaxBatch:  1,
+		Bootstrap: &cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, ok := reg.Program("logreg16-deep")
+	if !ok {
+		t.Fatalf("logreg16-deep not compiled (skipped: %v)", reg.Skipped)
+	}
+	kg := ckks.NewKeyGenerator(reg.Params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := kg.GenPublicKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotSet := map[int]bool{}
+	for _, k := range prog.Rotations {
+		rotSet[k] = true
+	}
+	for _, k := range reg.Pre.Rotations() {
+		rotSet[k] = true
+	}
+	rots := make([]int, 0, len(rotSet))
+	for k := range rotSet {
+		rots = append(rots, k)
+	}
+	sort.Ints(rots)
+	rtks, err := kg.GenRotationKeySet(sk, rots, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]*ckks.EvalKey{"rlk": rlk, "conj": rtks.Conj}
+	for k, key := range rtks.Keys {
+		keys[fmt.Sprintf("rot:%d", k)] = key
+	}
+	if err := reg.RegisterTenant(tenant, keys); err != nil {
+		t.Fatal(err)
+	}
+	return reg, prog, sk, pk
 }
