@@ -20,8 +20,11 @@
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
 // partitioned across the workers and every keyswitch runs the paper's
-// network collectives. Requests replay on the coordinator's local executor
-// when no backend can serve them (unless -require-cluster).
+// network collectives. A collective that loses a worker fails the run on
+// that cluster; the serving core alone then decides what happens to the
+// request: it fails over to the next backend, replays on the
+// coordinator's local executor when no backend can serve it, or — with
+// -require-cluster — fails typed with 503.
 //
 // Semicolons split -cluster into independent backends (failure domains),
 // each its own fully-dialed cluster behind its own circuit breaker;
@@ -176,15 +179,10 @@ func run(o options) error {
 	var backends []serve.BackendSpec
 	if o.clusterAddrs != "" {
 		groups := strings.Split(o.clusterAddrs, ";")
-		engOpts := cluster.Options{HeartbeatInterval: o.heartbeat}
-		if len(groups) > 1 {
-			// Multiple failure domains: each must fail typed so the serving
-			// layer can move the request to a survivor, and a restart must
-			// come up even while one domain is entirely dead (its links stay
-			// down until the heartbeat loop redials them).
-			engOpts.DisableFallback = true
-			engOpts.AllowDegradedStart = true
-		}
+		// With several failure domains a restart must come up even while
+		// one domain is entirely dead: its links stay down until the
+		// heartbeat loop redials them, and requests fail over meanwhile.
+		engOpts := cluster.Options{HeartbeatInterval: o.heartbeat, AllowDegradedStart: len(groups) > 1}
 		for gi, group := range groups {
 			var dialers []cluster.Dialer
 			for _, a := range strings.Split(group, ",") {

@@ -193,7 +193,7 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	}
 
 	// M independent failure domains: separate workers, separate dialers,
-	// separate engines, fallback off (a dead cluster must fail typed).
+	// separate engines (a dead cluster fails typed; the core fails over).
 	engines := make([]*cluster.Engine, cfg.Clusters)
 	domainDialers := make([][]*cluster.PipeDialer, cfg.Clusters)
 	engOpts := cluster.Options{
@@ -202,7 +202,6 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 		Retries:           1,
 		RetryBackoff:      10 * time.Millisecond,
 		HeartbeatInterval: cfg.Heartbeat,
-		DisableFallback:   true,
 	}
 	for m := 0; m < cfg.Clusters; m++ {
 		pds := make([]*cluster.PipeDialer, cfg.Workers)
@@ -454,7 +453,7 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	}
 
 	// Uninterrupted control: the same input stepped the same number of
-	// times on a local core (the emulator and cluster paths are
+	// times on a local core (the local executor and the cluster paths are
 	// bit-identical by construction). Bit-equal ciphertexts mean the
 	// restart was invisible.
 	ctrl := serve.NewCore(reg, serve.Config{Workers: 1, RequestTimeout: cfg.RequestTimeout})

@@ -107,7 +107,6 @@ type SoakReport struct {
 
 	CorruptFramesDetected int64 `json:"corrupt_frames_detected"`
 	EmulatorFallbacks     int64 `json:"emulator_fallbacks"`
-	LocalFallbacks        int64 `json:"local_fallbacks"`
 	Reconnects            int64 `json:"reconnects"`
 	Panics                int64 `json:"panics"`
 	CircuitOpens          int64 `json:"circuit_opens"`
@@ -257,7 +256,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		Workers:          2,
 		AdmissionLimit:   64,
 		RequestTimeout:   cfg.RequestTimeout,
-		Cluster:          eng,
+		Backends:         []serve.BackendSpec{{Engine: eng}},
 		CircuitThreshold: 5,
 		CircuitCooldown:  250 * time.Millisecond,
 	})
@@ -439,7 +438,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	rep.Panics = snap.Panics
 	rep.CircuitOpens = snap.CircuitOpens
 	if snap.Cluster != nil {
-		rep.LocalFallbacks = snap.Cluster.LocalFallbacks
 		rep.Reconnects = snap.Cluster.Reconnects
 	}
 	cfg.Logf("chaos done: %d requests (%d ok, %d shed, %d timeout, %d degraded, %d failed), %d faults, %d corrupt frames detected, recovered in %v",

@@ -238,52 +238,26 @@ func TestEvaluatorClusterHook(t *testing.T) {
 	}
 }
 
-// TestWorkerLossDegradesGracefully: killing a worker mid-run must complete
-// the collective single-process with a bit-exact result (fallback on) or
-// fail with the typed ErrDegraded (fallback off) — never hang or corrupt.
-func TestWorkerLossDegradesGracefully(t *testing.T) {
+// TestWorkerLossFailsTyped: a collective that loses a worker fails with
+// the typed ErrDegraded — never a hang, a partial result or a silent
+// single-process keyswitch — and the engine stops reporting healthy.
+func TestWorkerLossFailsTyped(t *testing.T) {
 	tc := newClusterContext(t, 3, Options{
 		RPCTimeout:   2 * time.Second,
 		RetryBackoff: time.Millisecond,
 	})
-	ct := tc.encryptRandom(t, 40)
-	seq := ckks.NewEvaluator(tc.params, nil, nil)
-	s0, s1, err := seq.KeySwitch(ct.C1, tc.rlk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm run, then crash worker 1 (sessions die, dials refused).
+	ct := tc.encryptRandom(t, 41)
+	// Warm run, then crash worker 2 (sessions die, dials refused).
 	if _, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk); err != nil {
 		t.Fatal(err)
 	}
-	tc.dialers[1].Kill()
-	d0, d1, err := tc.eng.KeySwitch(ct.C1, tc.rlk)
-	if err != nil {
-		t.Fatalf("degraded keyswitch failed: %v", err)
-	}
-	if !d0.Equal(s0) || !d1.Equal(s1) {
-		t.Fatal("degraded keyswitch corrupted the result")
-	}
-	if got := tc.eng.Snapshot().LocalFallbacks; got < 1 {
-		t.Fatalf("expected a local fallback, counted %d", got)
-	}
-	if tc.eng.Healthy() {
-		t.Fatal("engine still reports healthy with a dead worker")
-	}
-}
-
-// TestWorkerLossWithFallbackDisabled: the strict mode fails cleanly.
-func TestWorkerLossWithFallbackDisabled(t *testing.T) {
-	tc := newClusterContext(t, 3, Options{
-		RPCTimeout:      2 * time.Second,
-		RetryBackoff:    time.Millisecond,
-		DisableFallback: true,
-	})
-	ct := tc.encryptRandom(t, 41)
 	tc.dialers[2].Kill()
 	_, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk)
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("expected ErrDegraded, got %v", err)
+	}
+	if tc.eng.Healthy() {
+		t.Fatal("engine still reports healthy with a dead worker")
 	}
 }
 
@@ -340,9 +314,9 @@ func TestHeartbeatRedialsLostWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc.dialers[1].Kill()
-	// Force the engine to notice (the next collective degrades).
-	if _, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk); err != nil {
-		t.Fatal(err)
+	// Force the engine to notice: the next collective fails typed.
+	if _, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("collective over a dead worker: got %v, want ErrDegraded", err)
 	}
 	tc.dialers[1].Revive()
 	deadline := time.Now().Add(5 * time.Second)
@@ -667,8 +641,8 @@ func TestWorkerKeyBudgetForcesRepush(t *testing.T) {
 // TestConcurrentEvictKeySwitchStress hammers EvictKeys against a stream of
 // keyswitches. The eviction race (encoding erased between a collective's
 // id resolution and the lazy push) must be absorbed by re-resolving a
-// fresh id — never by dropping a clean session: any reconnect or local
-// fallback here is a regression.
+// fresh id — never by dropping a clean session: any reconnect or failed
+// collective here is a regression.
 func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	tc := newClusterContext(t, 2, Options{
 		RPCTimeout:   5 * time.Second,
@@ -712,9 +686,6 @@ func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	snap := tc.eng.Snapshot()
 	if snap.Reconnects != 0 {
 		t.Fatalf("eviction churn dropped sessions: %d reconnects (stress snapshot %+v)", snap.Reconnects, snap)
-	}
-	if snap.LocalFallbacks != 0 {
-		t.Fatalf("eviction churn degraded collectives: %d local fallbacks", snap.LocalFallbacks)
 	}
 	if snap.KeyEvicts < 1 {
 		t.Fatal("stress loop never actually evicted")

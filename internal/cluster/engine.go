@@ -16,9 +16,9 @@ import (
 	"cinnamon/internal/ring"
 )
 
-// ErrDegraded is returned (wrapped) when a worker is lost mid-collective
-// and local fallback is disabled: the caller gets a clean typed failure
-// instead of a hang or a partial result.
+// ErrDegraded is returned (wrapped) when a worker is lost mid-collective:
+// the caller gets a clean typed failure instead of a hang or a partial
+// result, and decides itself whether to fail over or replay elsewhere.
 var ErrDegraded = errors.New("cluster: degraded")
 
 // Options tunes the coordinator's production behaviour.
@@ -29,7 +29,7 @@ type Options struct {
 	// DialTimeout bounds one connection attempt. Default 5s.
 	DialTimeout time.Duration
 	// Retries is how many times a failed per-worker RPC is redialed and
-	// retried before the collective degrades. Default 1.
+	// retried before the collective fails with ErrDegraded. Default 1.
 	Retries int
 	// RetryBackoff is the pause before each retry. Default 100ms.
 	RetryBackoff time.Duration
@@ -43,10 +43,6 @@ type Options struct {
 	// lockstep by every heartbeat tick and RPC retry. Default:
 	// max(1s, 4×HeartbeatInterval) with the heartbeat enabled, else 5s.
 	RedialBackoffMax time.Duration
-	// DisableFallback turns off graceful degradation: a lost worker then
-	// fails the collective with ErrDegraded instead of completing it
-	// single-process.
-	DisableFallback bool
 	// AllowDegradedStart lets NewEngine succeed even when some (or all)
 	// workers are unreachable at boot: a failed initial handshake leaves
 	// that link down — to be redialed with backoff by the heartbeat loop
@@ -91,7 +87,7 @@ func (o Options) withDefaults() Options {
 // rotations over the cluster.
 type Engine struct {
 	params *ckks.Parameters
-	local  *keyswitch.Engine // fallback path + shared partition arithmetic
+	part   *keyswitch.Engine // partition arithmetic (OA digit ownership)
 	opts   Options
 	links  []*link
 	stats  Stats
@@ -146,7 +142,7 @@ type link struct {
 // NewEngine dials and handshakes every worker. Worker i is chip i; the
 // chip count is len(dialers). Startup is strict — a worker that cannot be
 // reached or negotiates a different parameter digest fails construction —
-// while runtime losses degrade per Options. With
+// while a runtime loss fails its collective with ErrDegraded. With
 // Options.AllowDegradedStart, unreachable workers leave their links down
 // for the heartbeat loop to recover instead of failing construction.
 func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine, error) {
@@ -154,13 +150,13 @@ func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine
 		return nil, fmt.Errorf("cluster: need at least one worker")
 	}
 	opts = opts.withDefaults()
-	local, err := keyswitch.NewEngine(params, len(dialers))
+	part, err := keyswitch.NewEngine(params, len(dialers))
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		params: params,
-		local:  local,
+		part:   part,
 		opts:   opts,
 		keyIDs: map[*ckks.EvalKey]uint64{},
 		keyEnc: map[uint64][]byte{},
@@ -231,11 +227,6 @@ func (e *Engine) LastHandshake() time.Time {
 	return time.Unix(0, ns)
 }
 
-// FallbackDisabled reports whether graceful degradation to the local
-// single-process path is turned off (collectives then fail with
-// ErrDegraded when a worker is lost).
-func (e *Engine) FallbackDisabled() bool { return e.opts.DisableFallback }
-
 // Snapshot captures the transport counters for the metrics endpoint.
 func (e *Engine) Snapshot() *Snapshot {
 	s := e.stats.snapshot()
@@ -278,7 +269,7 @@ func (e *Engine) EnsureKeys(keys ...*ckks.EvalKey) error {
 			lk.mu.Lock()
 			err := func() error {
 				if lk.conn == nil {
-					if err := lk.connect(); err != nil {
+					if err := lk.connectBackoff(); err != nil {
 						return err
 					}
 				}
@@ -419,9 +410,9 @@ func (b boundEngine) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ri
 }
 
 // KeySwitchStats is KeySwitch plus the measured communication bill of the
-// collective, in the paper's units. A collective that degraded to local
-// execution reports zero CommStats (no network collective happened); the
-// degradation itself is counted in Stats.LocalFallbacks.
+// collective, in the paper's units. A collective that loses a worker
+// fails with a wrapped ErrDegraded (or, when the caller's ctx ended, with
+// the ctx error); it never completes single-process.
 func (e *Engine) KeySwitchStats(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, keyswitch.CommStats, error) {
 	return e.keySwitchStatsCtx(context.Background(), c, evk)
 }
@@ -521,24 +512,8 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		}(chip, mine)
 	}
 	wg.Wait()
-	for chip, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Graceful degradation: finish the keyswitch single-process. The
-		// sequential kernel is bit-exact with the distributed input
-		// broadcast, so degradation never corrupts a result. A caller whose
-		// ctx expired gets the ctx error — its deadline is already blown, so
-		// burning more time on a local keyswitch helps nobody.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, keyswitch.CommStats{}, cerr
-		}
-		if e.opts.DisableFallback {
-			return nil, nil, keyswitch.CommStats{}, fmt.Errorf("%w: worker %d lost mid-broadcast: %v", ErrDegraded, chip, err)
-		}
-		e.stats.LocalFallbacks.Add(1)
-		f0, f1, _, ferr := e.local.KeySwitch(c, evk, keyswitch.Sequential)
-		return f0, f1, keyswitch.CommStats{}, ferr
+	if err := degraded(ctx, errs, "mid-broadcast"); err != nil {
+		return nil, nil, keyswitch.CommStats{}, err
 	}
 	stats := keyswitch.CommStats{Broadcasts: 1}
 	for _, m := range moved {
@@ -576,7 +551,7 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for chip := 0; chip < n; chip++ {
-		mine, err := e.local.OAMine(evk, chip, l)
+		mine, err := e.part.OAMine(evk, chip, l)
 		if err != nil {
 			return nil, nil, keyswitch.CommStats{}, err
 		}
@@ -606,21 +581,8 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 		}(chip, mine)
 	}
 	wg.Wait()
-	for chip, err := range errs {
-		if err == nil {
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, keyswitch.CommStats{}, cerr
-		}
-		if e.opts.DisableFallback {
-			return nil, nil, keyswitch.CommStats{}, fmt.Errorf("%w: worker %d lost mid-aggregation: %v", ErrDegraded, chip, err)
-		}
-		// The in-process engine runs the identical ChipOA kernels and sums
-		// in the same chip order, so the degraded result is bit-identical.
-		e.stats.LocalFallbacks.Add(1)
-		f0, f1, _, ferr := e.local.KeySwitch(c, evk, keyswitch.OutputAggregation)
-		return f0, f1, keyswitch.CommStats{}, ferr
+	if err := degraded(ctx, errs, "mid-aggregation"); err != nil {
+		return nil, nil, keyswitch.CommStats{}, err
 	}
 
 	// Aggregate: sum the partial polynomials in chip order (modular
@@ -653,6 +615,23 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 	e.stats.LimbsMoved.Add(int64(stats.LimbsMoved))
 	e.stats.collectiveLat.Observe(time.Since(start))
 	return sum0, sum1, stats, nil
+}
+
+// degraded turns the first per-worker failure of a collective into its
+// typed error: the caller's ctx error when its deadline ended the
+// collective (not evidence against the cluster), else a wrapped
+// ErrDegraded naming the lost worker. nil when every worker answered.
+func degraded(ctx context.Context, errs []error, phase string) error {
+	for chip, err := range errs {
+		if err == nil {
+			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		return fmt.Errorf("%w: worker %d lost %s: %v", ErrDegraded, chip, phase, err)
+	}
+	return nil
 }
 
 // addInto accumulates src into dst mod q (the aggregation root's sum).
@@ -796,8 +775,8 @@ func (lk *link) connect() error {
 }
 
 // errRedialBackoff is the fast-path failure while a link's redial window
-// has not elapsed: callers fail over (or fall back) immediately instead of
-// stacking dial attempts on a worker that just refused one.
+// has not elapsed: callers fail immediately instead of stacking dial
+// attempts on a worker that just refused one.
 var errRedialBackoff = errors.New("cluster: worker redial backed off")
 
 // connectBackoff is connect() behind the jittered exponential redial gate

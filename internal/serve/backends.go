@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +36,7 @@ type backend struct {
 }
 
 // backendSet is the failure-domain layer between the serving core and N
-// cluster engines: health-ranked backend selection, per-backend circuit
+// cluster engines: sticky-primary backend selection, per-backend circuit
 // breaking, failover accounting, and a background recovery loop that
 // re-runs handshakes and re-pushes content-addressed tenant keys before a
 // recovered backend takes traffic again.
@@ -104,37 +102,20 @@ func (s *backendSet) primaryBackend() *backend {
 	return s.all[int(s.primary.Load())]
 }
 
-// ranked returns the backends in failover order: fully-healthy engines
-// first, then by healthy-worker count, with the current primary winning
-// ties (stickiness — no failover ping-pong between two equals) and index
-// order breaking the rest. Breaker gating happens at attempt time via
-// Allow, not here, because Allow has half-open probe side effects.
+// ranked returns the backends in failover order: the current primary
+// first, then the rest by index. The primary is sticky — it keeps traffic
+// until it fails, even after a wider or lower-indexed backend recovers —
+// so there is no failover ping-pong. Health and breaker gating happen at
+// attempt time (Healthy, Allow), not here, because Allow has half-open
+// probe side effects.
 func (s *backendSet) ranked() []*backend {
-	out := make([]*backend, len(s.all))
-	copy(out, s.all)
-	prim := int(s.primary.Load())
-	score := func(b *backend) (int, int) {
-		healthy := b.eng.HealthyWorkers()
-		full := 0
-		if healthy == b.eng.NChips() && healthy > 0 {
-			full = 1
+	prim := s.primaryBackend()
+	out := append(make([]*backend, 0, len(s.all)), prim)
+	for _, b := range s.all {
+		if b != prim {
+			out = append(out, b)
 		}
-		return full, healthy
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		fi, hi := score(out[i])
-		fj, hj := score(out[j])
-		if fi != fj {
-			return fi > fj
-		}
-		if hi != hj {
-			return hi > hj
-		}
-		if (out[i].idx == prim) != (out[j].idx == prim) {
-			return out[i].idx == prim
-		}
-		return out[i].idx < out[j].idx
-	})
 	return out
 }
 
@@ -150,19 +131,19 @@ func (s *backendSet) noteSuccess(b *backend) {
 }
 
 // recoveryLoop is the background path back to eligibility for a backend
-// that failed: it re-runs the worker handshakes (EnsureKeys dials dropped
-// links) and re-pushes the *resident* tenants' evaluation keys — the
-// cache's working set, not the whole key population; spilled tenants
+// that failed — a worker down, an open circuit, or a re-handshake whose
+// key store is empty. It re-runs the worker handshakes (EnsureKeys dials
+// dropped links) and re-pushes the *resident* tenants' evaluation keys —
+// the cache's working set, not the whole key population; spilled tenants
 // re-push lazily on next use and the content-addressed push skips keys
 // the current sessions already hold — then closes the breaker, so the
 // first request after recovery pays neither handshake nor key-transfer
-// latency for the hot set. Probes back off exponentially with jitter
-// while a backend stays dead.
+// latency for the hot set. While a backend stays dead its redials follow
+// each link's own jittered exponential backoff (cluster.Options
+// RetryBackoff..RedialBackoffMax): a probe inside a link's backoff window
+// fails fast without dialing, so this loop keeps no schedule of its own.
 func (s *backendSet) recoveryLoop() {
 	defer close(s.done)
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	next := make([]time.Time, len(s.all))
-	delay := make([]time.Duration, len(s.all))
 	t := time.NewTicker(s.interval)
 	defer t.Stop()
 	for {
@@ -171,37 +152,19 @@ func (s *backendSet) recoveryLoop() {
 			return
 		case <-t.C:
 		}
-		for i, b := range s.all {
+		for _, b := range s.all {
 			healthy := b.eng.HealthyWorkers() == b.eng.NChips()
 			reconnects := int64(0)
 			if snap := b.eng.Snapshot(); snap != nil {
 				reconnects = snap.Reconnects
 			}
-			needsWarm := healthy && reconnects != b.warmedReconnects.Load()
-			if b.brk.State() == circuitClosed && !needsWarm {
-				delay[i], next[i] = 0, time.Time{}
+			if healthy && reconnects == b.warmedReconnects.Load() && b.brk.State() == circuitClosed {
 				continue
 			}
-			if !next[i].IsZero() && time.Now().Before(next[i]) {
-				continue
-			}
-			err := b.eng.EnsureKeys(s.reg.ResidentKeys()...)
-			if err == nil && b.eng.Healthy() {
+			if err := b.eng.EnsureKeys(s.reg.ResidentKeys()...); err == nil && b.eng.Healthy() {
 				b.warmedReconnects.Store(reconnects)
 				b.brk.Success()
-				delay[i], next[i] = 0, time.Time{}
-				continue
 			}
-			if delay[i] == 0 {
-				delay[i] = s.interval
-			} else {
-				delay[i] *= 2
-			}
-			if max := 8 * s.interval; delay[i] > max {
-				delay[i] = max
-			}
-			jittered := delay[i]/2 + time.Duration(rng.Int63n(int64(delay[i]/2)+1))
-			next[i] = time.Now().Add(jittered)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"cinnamon/internal/cluster"
 )
 
-// newFailoverCluster builds a cluster engine with fallback disabled and a
-// fast heartbeat, so killing its dialers makes it fail typed (ErrDegraded)
-// instead of silently absorbing work locally.
+// newFailoverCluster builds a cluster engine with short RPC retries and a
+// fast heartbeat, so killing its dialers fails runs typed (ErrDegraded)
+// quickly and reviving them is noticed within a few heartbeats.
 func newFailoverCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDialer) {
 	t.Helper()
 	reg := testEnv(t)
@@ -26,7 +26,6 @@ func newFailoverCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDi
 		Retries:           1,
 		RetryBackoff:      10 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
-		DisableFallback:   true,
 	})
 	if err != nil {
 		t.Fatalf("cluster.NewEngine: %v", err)
@@ -130,8 +129,8 @@ func TestBackendFailover(t *testing.T) {
 	}
 }
 
-// TestBackendsAllDownRequireCluster: with every backend dead and fallback
-// forbidden, submissions fail typed with cluster.ErrDegraded (503), and
+// TestBackendsAllDownRequireCluster: with every backend dead and the local
+// replay forbidden, submissions fail typed with cluster.ErrDegraded (503), and
 // /healthz flips unhealthy.
 func TestBackendsAllDownRequireCluster(t *testing.T) {
 	reg := testEnv(t)
@@ -156,7 +155,7 @@ func TestBackendsAllDownRequireCluster(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_, lastErr = core.Submit(context.Background(), "square", testTenant, ct)
 		if lastErr == nil {
-			t.Fatal("submit succeeded with the whole backend set dead and fallback off")
+			t.Fatal("submit succeeded with the whole backend set dead and the local replay forbidden")
 		}
 	}
 	// Health must report the outage once no healthy workers remain.
@@ -175,12 +174,13 @@ func TestBackendsAllDownRequireCluster(t *testing.T) {
 	}
 }
 
-// TestBackendSingleClusterSugar: Config.Cluster alone still works and now
-// surfaces itself as backend "c0" in health.
-func TestBackendSingleClusterSugar(t *testing.T) {
+// TestBackendUnnamedSpecIsC0: a BackendSpec without a name surfaces as
+// backend "c<index>" in health, and the single-valued cluster fields
+// report it as the primary.
+func TestBackendUnnamedSpecIsC0(t *testing.T) {
 	reg := testEnv(t)
 	eng, _ := newFailoverCluster(t, 2)
-	core := NewCore(reg, Config{Workers: 1, Cluster: eng})
+	core := NewCore(reg, Config{Workers: 1, Backends: []BackendSpec{{Engine: eng}}})
 	defer closeCoreT(t, core)
 	ct, _ := encryptRandom(t, 8)
 	if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
@@ -188,9 +188,108 @@ func TestBackendSingleClusterSugar(t *testing.T) {
 	}
 	h := core.Health()
 	if len(h.Backends) != 1 || h.Backends[0].Name != "c0" || !h.Backends[0].Primary {
-		t.Fatalf("single-cluster health backends = %+v, want one primary named c0", h.Backends)
+		t.Fatalf("single-backend health backends = %+v, want one primary named c0", h.Backends)
 	}
 	if !h.Cluster || h.Workers != 2 {
 		t.Fatalf("single-valued cluster fields regressed: %+v", h)
+	}
+}
+
+// TestBackendPrimaryStaysSticky: after failing over from a 3-worker
+// backend to a 2-worker one, reviving the wider backend does not take
+// traffic back — the narrow backend stays primary until it fails itself.
+func TestBackendPrimaryStaysSticky(t *testing.T) {
+	reg := testEnv(t)
+	engWide, dialersWide := newFailoverCluster(t, 3)
+	engNarrow, dialersNarrow := newFailoverCluster(t, 2)
+	core := NewCore(reg, Config{
+		Workers:          1,
+		RequireCluster:   true,
+		CircuitThreshold: 2,
+		CircuitCooldown:  200 * time.Millisecond,
+		Backends:         []BackendSpec{{Name: "wide", Engine: engWide}, {Name: "narrow", Engine: engNarrow}},
+	})
+	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 12)
+	submitOn := func(want string) {
+		t.Helper()
+		if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if got := core.backends.primaryBackend().name; got != want {
+			t.Fatalf("primary = %q, want %q", got, want)
+		}
+	}
+
+	submitOn("wide")
+	for _, d := range dialersWide {
+		d.Kill()
+	}
+	submitOn("narrow")
+	for _, d := range dialersWide {
+		d.Revive()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !engWide.Healthy() {
+		if time.Now().After(deadline) {
+			t.Fatalf("wide never recovered: %d/%d workers healthy", engWide.HealthyWorkers(), engWide.NChips())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	failovers := core.met.Failovers.Load()
+	for i := 0; i < 3; i++ {
+		submitOn("narrow")
+	}
+	if got := core.met.Failovers.Load(); got != failovers {
+		t.Fatalf("failovers_total moved %d -> %d with the primary healthy", failovers, got)
+	}
+	for _, d := range dialersNarrow {
+		d.Kill()
+	}
+	submitOn("wide")
+	for _, d := range dialersNarrow {
+		d.Revive()
+	}
+}
+
+// TestBackendRecoversWithoutHeartbeat: a backend whose engine runs no
+// heartbeat still comes back after a worker loss that opened no circuit —
+// the recovery loop probes every backend with a worker down, not only one
+// behind an open breaker.
+func TestBackendRecoversWithoutHeartbeat(t *testing.T) {
+	reg := testEnv(t)
+	dialers := []*cluster.PipeDialer{
+		cluster.NewPipeDialer(cluster.NewWorker(reg.Params)),
+		cluster.NewPipeDialer(cluster.NewWorker(reg.Params)),
+	}
+	eng, err := cluster.NewEngine(reg.Params, []cluster.Dialer{dialers[0], dialers[1]}, cluster.Options{
+		RPCTimeout:   2 * time.Second,
+		RetryBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	core := NewCore(reg, Config{
+		Workers:         1,
+		CircuitCooldown: 200 * time.Millisecond,
+		Backends:        []BackendSpec{{Engine: eng}},
+	})
+	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 13)
+	dialers[1].Kill()
+	if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
+		t.Fatalf("Submit with a dead worker: %v", err)
+	}
+	if eng.Healthy() {
+		t.Fatal("run never met the dead worker")
+	}
+	dialers[1].Revive()
+	deadline := time.Now().Add(5 * time.Second)
+	for !eng.Healthy() {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend never recovered: %d/%d workers healthy", eng.HealthyWorkers(), eng.NChips())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

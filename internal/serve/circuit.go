@@ -8,18 +8,19 @@ import (
 // Circuit-breaker states, exported through /metrics and /healthz as
 // strings.
 const (
-	circuitClosed   = "closed"    // cluster trusted: all runs try it
-	circuitOpen     = "open"      // cluster distrusted: runs skip straight to the local fallback
+	circuitClosed   = "closed"    // backend trusted: all runs try it
+	circuitOpen     = "open"      // backend distrusted: runs skip it
 	circuitHalfOpen = "half-open" // probing: one run at a time tests recovery
 )
 
-// breaker is a consecutive-failure circuit breaker guarding the cluster
+// breaker is a consecutive-failure circuit breaker guarding one cluster
 // backend. A degraded cluster fails whole runs over and over while each
 // failure costs RPC deadlines and retries; after threshold consecutive
-// failures the breaker opens and runs go straight to the local
-// fallback (or, with RequireCluster, to a typed 503). After cooldown one
-// probe run is admitted (half-open); its success closes the circuit,
-// its failure re-opens it for another cooldown.
+// failures the breaker opens and Core.execute skips the backend — failing
+// over to the next one, else replaying on the local executor (or, with
+// RequireCluster, failing typed with a 503). After cooldown one probe run
+// is admitted (half-open); its success closes the circuit, its failure
+// re-opens it for another cooldown.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

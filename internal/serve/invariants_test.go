@@ -62,13 +62,14 @@ func emulate(t *testing.T, reg *Registry, prog *Program, cts []*ckks.Ciphertext)
 // invariant: every shallow catalog program gives limb-identical
 // ciphertexts on every execution path — the emulator oracle at batch 1 and
 // in each slot of batch 4, a local Core.Submit, a Core.Submit whose
-// keyswitches run on a 2-worker pipe cluster, the workload's Reference
-// closure, and the first step of a session.
+// keyswitches run on a 2-worker pipe cluster, a Core.Submit whose cluster
+// loses a worker mid-run and replays on the local executor, the
+// workload's Reference closure, and the first step of a session.
 func TestInvariantBitIdenticalAcrossPaths(t *testing.T) {
 	reg := testEnv(t)
 	eng, _ := newTestCluster(t, 2)
 	local := NewCore(reg, Config{Workers: 2, BatchWait: time.Millisecond})
-	clustered := NewCore(reg, Config{Workers: 2, BatchWait: time.Millisecond, Cluster: eng})
+	clustered := NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -110,6 +111,28 @@ func TestInvariantBitIdenticalAcrossPaths(t *testing.T) {
 				t.Fatalf("cluster submit: %v", err)
 			}
 			check("cluster executor", out)
+
+			// Degraded path: a worker dies after admission, so the backend
+			// still reports healthy when execute picks it; the run fails on
+			// the cluster (the engine fails typed) and replays locally.
+			degEng, degDialers := newTestCluster(t, 2)
+			degraded := NewCore(reg, Config{
+				Workers:    1,
+				Backends:   []BackendSpec{{Engine: degEng}},
+				testPreRun: func(string) { degDialers[1].Kill() },
+			})
+			out, err = degraded.Submit(ctx, name, testTenant, cts[0])
+			closeCoreT(t, degraded)
+			if err != nil {
+				t.Fatalf("degraded-cluster submit: %v", err)
+			}
+			check("degraded cluster, local replay", out)
+			if degEng.Healthy() {
+				t.Error("degraded run never met the dead worker")
+			}
+			if n := degraded.Metrics().Snapshot().EmulatorFallbacks; n != 1 {
+				t.Errorf("degraded run counted %d local replays, want 1", n)
+			}
 			check("Reference", reference(t, name, cts[0]))
 			info, err := local.CreateSession(testTenant, name)
 			if err != nil {
@@ -134,7 +157,7 @@ func TestInvariantBitIdenticalAcrossPaths(t *testing.T) {
 		t.Fatal("cluster counters show no collectives despite cluster-mode runs")
 	}
 	if snap.EmulatorFallbacks != 0 {
-		t.Fatalf("healthy cluster run recorded %d local fallbacks", snap.EmulatorFallbacks)
+		t.Fatalf("healthy cluster run recorded %d local replays", snap.EmulatorFallbacks)
 	}
 	if localSnap := local.Metrics().Snapshot(); localSnap.Cluster != nil {
 		t.Fatal("local-only core must not report a cluster section")
@@ -214,7 +237,7 @@ func TestInvariantCloseLeaksNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		core := NewCore(breg, Config{Workers: 2, Cluster: eng})
+		core := NewCore(breg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 		if err := breg.RegisterTenant("a", kA); err != nil {
 			t.Fatal(err)
 		}

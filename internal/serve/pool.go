@@ -61,23 +61,16 @@ type Config struct {
 	// Default 1024.
 	AdmissionLimit int
 
-	// Cluster, when set, delegates every request's keyswitches to the
-	// scale-out worker cluster (limb-partitioned across worker processes).
-	// A request replays locally on the coordinator's executor — counted in
-	// Metrics.EmulatorFallbacks — whenever the cluster is degraded or a
-	// distributed run errors.
-	// Cluster is single-backend sugar: it joins Backends as the first
-	// entry ("c0").
-	Cluster *cluster.Engine
-
-	// Backends executes requests over a set of independently-dialed
-	// cluster engines — separate failure domains. Each backend gets its
-	// own circuit breaker (CircuitThreshold/CircuitCooldown); requests try
-	// backends in health-ranked order and fail over on error, ErrDegraded
-	// or an open circuit, counted in Metrics.Failovers. A background
-	// recovery loop re-runs worker handshakes and re-pushes every
-	// registered tenant's keys before a recovered backend is eligible
-	// again.
+	// Backends executes requests' keyswitches over a set of
+	// independently-dialed cluster engines — separate failure domains,
+	// each limb-partitioned across its worker processes. Each backend gets
+	// its own circuit breaker (CircuitThreshold/CircuitCooldown); requests
+	// try the primary first and fail over on error, ErrDegraded or an open
+	// circuit, counted in Metrics.Failovers. When no backend can serve, the
+	// request replays on the coordinator's local executor (counted in
+	// Metrics.EmulatorFallbacks) unless RequireCluster. A background
+	// recovery loop re-runs worker handshakes and re-pushes every resident
+	// tenant's keys before a recovered backend is eligible again.
 	Backends []BackendSpec
 
 	// SessionLog, when non-empty, is the path of the durable session
@@ -89,11 +82,11 @@ type Config struct {
 	// bit-exactly. Use NewDurableCore to surface open/replay errors.
 	SessionLog string
 
-	// RequireCluster turns off the local fallback at the serving layer:
-	// when the cluster is degraded (or its circuit is open) requests fail
-	// typed with cluster.ErrDegraded (503) instead of silently costing
+	// RequireCluster turns off the local replay: when no backend can serve
+	// (every one degraded or behind an open circuit) requests fail typed
+	// with cluster.ErrDegraded (503) instead of silently costing
 	// coordinator CPU. Useful when the coordinator cannot keep up with the
-	// cluster's capacity and fallback would just be a slower outage.
+	// cluster's capacity and local replay would just be a slower outage.
 	RequireCluster bool
 
 	// CircuitThreshold is how many consecutive cluster-run failures open
@@ -214,12 +207,8 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		admission: make(chan struct{}, cfg.AdmissionLimit),
 		slots:     make(chan struct{}, cfg.Workers),
 	}
-	specs := append([]BackendSpec(nil), cfg.Backends...)
-	if cfg.Cluster != nil {
-		specs = append([]BackendSpec{{Engine: cfg.Cluster}}, specs...)
-	}
-	if len(specs) > 0 {
-		c.backends = newBackendSet(specs, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
+	if len(cfg.Backends) > 0 {
+		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
 		c.met.clusterSource = func() *cluster.Snapshot { return c.backends.primaryBackend().eng.Snapshot() }
 		c.met.circuitSource = func() (string, int64) {
 			p := c.backends.primaryBackend()
@@ -256,8 +245,8 @@ func (c *Core) Metrics() *Metrics { return c.met }
 
 // Health is the live state /healthz reports.
 type Health struct {
-	// OK is false when the core cannot currently serve: the cluster
-	// backend is fully down and no fallback may take its place.
+	// OK is false when the core cannot currently serve: every cluster
+	// backend is fully down and RequireCluster forbids the local replay.
 	OK       bool   `json:"ok"`
 	Programs int    `json:"programs"`
 	Draining bool   `json:"draining"`
@@ -289,11 +278,10 @@ type Health struct {
 }
 
 // Health reports whether the core can serve right now. With cluster
-// backends and fallback unavailable (RequireCluster, or every engine's own
-// DisableFallback), zero healthy workers across ALL failure domains means
-// requests cannot succeed — /healthz then turns 503 so load balancers stop
-// routing here. One backend down with another healthy stays OK: that is
-// what failover is for.
+// backends and RequireCluster, zero healthy workers across ALL failure
+// domains means requests cannot succeed — /healthz then turns 503 so load
+// balancers stop routing here. One backend down with another healthy stays
+// OK: that is what failover is for.
 func (c *Core) Health() Health {
 	h := Health{OK: true, Programs: len(c.reg.ProgramNames())}
 	c.stateMu.RLock()
@@ -311,13 +299,7 @@ func (c *Core) Health() Health {
 		for _, bh := range h.Backends {
 			totalHealthy += bh.Healthy
 		}
-		allFallbackOff := true
-		for _, b := range c.backends.all {
-			if !b.eng.FallbackDisabled() {
-				allFallbackOff = false
-			}
-		}
-		if totalHealthy == 0 && (c.cfg.RequireCluster || allFallbackOff) {
+		if totalHealthy == 0 && c.cfg.RequireCluster {
 			h.OK = false
 		}
 	}
@@ -538,14 +520,16 @@ func (c *Core) timedOut(ctx context.Context) error {
 }
 
 // execute replays prog's graph on ct with the tenant's keys; every request
-// (one-shot or session step) runs here. With
-// cluster backends, keyswitches ride the first eligible backend in
-// health-ranked order; a failed run feeds that backend's breaker and moves
-// on to the next. Bootstraps always run coordinator-local (the bootstrap
-// batcher and key material live here). When no backend succeeds the
-// request replays locally from its original input — counted in
-// EmulatorFallbacks, bit-identical since the kernels are the same — unless
-// RequireCluster turns fallback off.
+// (one-shot or session step) runs here, and it is the only code that
+// handles a cluster failure: the engines fail typed (ErrDegraded) and
+// never finish a keyswitch themselves. With cluster backends, keyswitches
+// ride the first eligible backend in failover order (primary first); a
+// failed run feeds that backend's breaker and moves on to the next.
+// Bootstraps always run coordinator-local (the bootstrap batcher and key
+// material live here). When no backend succeeds the request replays
+// locally from its original input — counted in EmulatorFallbacks,
+// bit-identical since the kernels are the same — unless RequireCluster
+// makes it a typed ErrDegraded instead.
 func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	// attempt is the backend whose breaker awaits this run's outcome; a
 	// panic mid-run still reports it, so a half-open probe never dangles.
@@ -589,7 +573,8 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 	}
 	if c.backends != nil {
 		for _, b := range c.backends.ranked() {
-			// Healthy() is the cheap gate, the breaker the stateful one:
+			// Healthy() is the cheap gate — a backend with any worker down
+			// is skipped outright — and the breaker the stateful one:
 			// after CircuitThreshold consecutive failures a backend isn't
 			// even attempted until a cooldown-spaced probe succeeds, so a
 			// flapping backend can't tax every run with RPC deadlines —

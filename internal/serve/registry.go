@@ -14,7 +14,9 @@
 //     slots; deep programs and session steps are bounded by admission
 //     alone so their refreshes coalesce into shared bootstrap ticks. Every
 //     request replays on its program's executor, with keyswitches
-//     delegated to the health-ranked cluster backends when configured;
+//     delegated to the cluster backends when configured; a backend whose
+//     engine fails typed is failed over, and with none left the request
+//     replays locally (or fails typed under RequireCluster);
 //   - a metrics core tracks counters, slot waiters and streaming latency
 //     quantiles, exposed as JSON.
 //

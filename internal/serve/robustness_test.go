@@ -332,7 +332,7 @@ func TestTimeoutCountedOnce(t *testing.T) {
 }
 
 // TestHealthzClusterDown: with a cluster backend, all workers down and
-// fallback off, /healthz turns 503 with a JSON body reporting
+// the local replay forbidden (RequireCluster), /healthz turns 503 with a JSON body reporting
 // workers_healthy and circuit_state — the load-balancer signal that this
 // replica cannot currently serve.
 func TestHealthzClusterDown(t *testing.T) {
@@ -349,7 +349,7 @@ func TestHealthzClusterDown(t *testing.T) {
 		t.Fatalf("engine: %v", err)
 	}
 	defer eng.Close()
-	core := NewCore(reg, Config{Cluster: eng, RequireCluster: true})
+	core := NewCore(reg, Config{Backends: []BackendSpec{{Engine: eng}}, RequireCluster: true})
 	defer core.Close(context.Background())
 	handler := NewHandler(core, HandlerConfig{})
 

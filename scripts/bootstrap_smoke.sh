@@ -3,7 +3,7 @@
 #
 # The exit criterion of the bootstrapping-as-a-service subsystem,
 # exercised for real over HTTP:
-#   1. cinnamon-serve -bootstrap (emulator backend, 16 levels, sparse
+#   1. cinnamon-serve -bootstrap (local executor, 16 levels, sparse
 #      secret) compiles the depth-20 logreg16-deep program as a
 #      scheduler-path entry; cinnamon-loadgen runs deep one-shots
 #      (each with a mid-program bootstrap) and a 3-step encrypted
@@ -68,7 +68,7 @@ check_bootstraps() {
 echo "== building binaries =="
 go build -o "$BIN" ./cmd/cinnamon-worker ./cmd/cinnamon-serve ./cmd/cinnamon-loadgen
 
-echo "== 1. emulator backend: serve -bootstrap + verified deep load + session =="
+echo "== 1. local executor: serve -bootstrap + verified deep load + session =="
 "$BIN/cinnamon-serve" -addr "127.0.0.1:$SERVE_PORT" \
   -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" -bootstrap &
 SERVE_PID=$!

@@ -6,7 +6,7 @@
 # drives Zipf-skewed load so hot tenants ride the resident cache while the
 # tail churns through content-addressed spill, eviction and
 # admission-time prefetch. Two rounds:
-#   1. Emulator backend: every response decrypt-and-verified, zero errors
+#   1. Local executor: every response decrypt-and-verified, zero errors
 #      allowed; /metrics must show evictions happened AND resident bytes
 #      never exceeding the budget.
 #   2. 2-worker cluster backend with a worker-side key budget too: the
@@ -74,10 +74,10 @@ wait_healthy() {
 echo "== building binaries =="
 go build -o "$BIN" ./cmd/cinnamon-worker ./cmd/cinnamon-serve ./cmd/cinnamon-loadgen
 
-echo "== 1. emulator backend: $TENANTS tenants, ${BUDGET_MB} MiB budget, zipf load =="
+echo "== 1. local executor: $TENANTS tenants, ${BUDGET_MB} MiB budget, zipf load =="
 "$BIN/cinnamon-serve" -addr "127.0.0.1:$SERVE_PORT" \
   -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" \
-  -key-budget-mb "$BUDGET_MB" -key-spill-dir "$SPILL/emulator" &
+  -key-budget-mb "$BUDGET_MB" -key-spill-dir "$SPILL/local" &
 SERVE_PID=$!
 PIDS+=($SERVE_PID)
 wait_healthy

@@ -2,7 +2,7 @@
 # tensor_smoke.sh — end-to-end smoke of the tensor-program frontend.
 #
 # The exit criterion of the frontend, exercised for real over HTTP:
-#   1. cinnamon-serve (emulator backend, 4 levels) compiles the catalog
+#   1. cinnamon-serve (local executor, 4 levels) compiles the catalog
 #      including the tensor programs; cinnamon-loadgen serves the
 #      encrypted logistic-regression step (logreg16: matvec + fused bias +
 #      degree-3 sigmoid) and the transformer-style linear block (xform64:
@@ -51,7 +51,7 @@ drive_load() {
 echo "== building binaries =="
 go build -o "$BIN" ./cmd/cinnamon-worker ./cmd/cinnamon-serve ./cmd/cinnamon-loadgen
 
-echo "== 1. emulator backend: serve + verified tensor load =="
+echo "== 1. local executor: serve + verified tensor load =="
 "$BIN/cinnamon-serve" -addr "127.0.0.1:$SERVE_PORT" \
   -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" &
 SERVE_PID=$!
